@@ -5,10 +5,14 @@ a tangent model, ``depth_cm = k * tan(h * raw + l) - o``, which has a pole
 inside the 11-bit range (raw ~1116.6 with the default constants), so all
 conversions are restricted to an explicit valid domain.  Raw value 2047
 is reserved as the "no measurement" sentinel and never converts.
+
+The detection path never converts a frame: a calibration's cm_table holds
+the depth of all 2048 raw codes, so a metric threshold is a table lookup.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,6 +52,13 @@ class CalibrationParams:
                 f"raw_valid_max={self.raw_valid_max} exceeds the tangent-pole "
                 f"bound {valid_domain(self)}"
             )
+
+    @functools.cached_property
+    def cm_table(self) -> np.ndarray:
+        """Depth of every raw code 0..2047 by depth_image_cm (NaN where invalid); read-only."""
+        cm, _ = depth_image_cm(np.arange(RAW_SENTINEL + 1), self)
+        cm.flags.writeable = False
+        return cm
 
 
 def valid_domain(params: CalibrationParams) -> int:

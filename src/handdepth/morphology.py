@@ -6,6 +6,9 @@ squared distance to background exceeds r*r, and dilation is the dual
 threshold on the distance to foreground.  This is exact for closed
 disks (offsets dx^2 + dy^2 <= r^2) and costs O(pixels) regardless of
 radius.  Out-of-frame pixels count as background.
+
+One distance map per hand gives the palm inradius, the erosion (its
+threshold at r*r in extract_palm) and the palm-center argmax.
 """
 
 from __future__ import annotations
@@ -30,17 +33,6 @@ class DiskElement:
         if self.radius < 0:
             raise ValueError("disk radius must be >= 0")
 
-    @property
-    def offsets(self) -> list[tuple[int, int]]:
-        r = self.radius
-        rr = r * r
-        return [
-            (dx, dy)
-            for dy in range(-r, r + 1)
-            for dx in range(-r, r + 1)
-            if dx * dx + dy * dy <= rr
-        ]
-
 
 def erode(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
     """Minkowski erosion: keep pixels whose whole disk neighborhood is foreground."""
@@ -61,15 +53,16 @@ def opening(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
     return dilate(erode(mask, elem), elem)
 
 
-def extract_palm(hand_mask: np.ndarray, radius: int) -> np.ndarray:
+def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     """Strip everything thinner than the disk (the fingers), keeping the palm body.
 
-    Raises EmptyResultError when the radius exceeds the palm inradius and
-    the opening annihilates the hand entirely.
+    Takes the hand's distance_transform and returns the hand's opening by
+    the disk.  Raises EmptyResultError when the radius exceeds the palm
+    inradius and the opening annihilates the hand entirely.
     """
     if radius < 1:
         raise ValueError("palm extraction radius must be >= 1")
-    opened = opening(hand_mask, DiskElement(radius))
+    opened = dilate(hand_dist > radius * radius, DiskElement(radius))
     if not opened.any():
         raise EmptyResultError(f"opening by radius {radius} left no palm")
     return opened

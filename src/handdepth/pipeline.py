@@ -97,8 +97,8 @@ def config_from_dict(data: dict) -> PipelineConfig:
             kwargs["calibration"] = CalibrationParams(
                 **{_CALIBRATION_KEYS[k]: v for k, v in cal.items()}
             )
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from exc
+        except (DomainError, TypeError) as exc:
+            raise ConfigError(f"bad calibration: {exc}") from exc
     try:
         return PipelineConfig(**kwargs)
     except TypeError as exc:
@@ -140,16 +140,16 @@ def _analyze_hand(
 ) -> HandObservation:
     """Palm center and fingertips of one segmented hand blob."""
     min_x, min_y, max_x, max_y = blob.bbox
-    h, w = blob.mask.shape
+    h, w = blob.labels.shape
     y0, y1 = max(0, min_y - _CROP_MARGIN), min(h, max_y + 1 + _CROP_MARGIN)
     x0, x1 = max(0, min_x - _CROP_MARGIN), min(w, max_x + 1 + _CROP_MARGIN)
-    hand = fill_holes(blob.mask[y0:y1, x0:x1])
+    hand = fill_holes(blob.labels[y0:y1, x0:x1] == blob.label)
     crop = DepthFrame(frame.samples[y0:y1, x0:x1])
 
     dist = distance_transform(hand)
     seed_palm = find_palm_center(dist, hand)
     radius = auto_radius(seed_palm.inradius_px, config.radius_factor)
-    palm_mask = extract_palm(hand, radius)
+    palm_mask = extract_palm(dist, radius)
     palm = find_palm_center(dist, palm_mask)
 
     min_finger = (

@@ -4,6 +4,11 @@ A hand is whatever connected region sits within a metric depth band of a
 seed pixel.  Seeds either come from an external tracker or from the
 nearest-object heuristic in find_hand_seeds (hands are assumed to be the
 closest things to the camera).
+
+Band and slab thresholds are lookups into the calibration's cm_table.
+Labelling finds all runs of a mask in one vectorised pass, merges them
+across rows with union-find, and takes component stats from the same
+runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import CalibrationParams, DEFAULT_CALIBRATION, depth_image_cm, raw_to_cm
+from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
 from .errors import DomainError, NotFoundError
 from .frame_io import DepthFrame
 
@@ -49,38 +54,24 @@ class Blob:
         h, w = self.labels.shape
         return 0 <= x < w and 0 <= y < h and int(self.labels[y, x]) == self.label
 
-    @property
-    def pixels(self) -> set[tuple[int, int]]:
-        ys, xs = np.nonzero(self.labels == self.label)
-        return {(int(x), int(y)) for x, y in zip(xs, ys)}
 
+def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, tuple]:
+    """Label image, component count and the runs as ``(row, start, end, component)``.
 
-def _row_runs(row: np.ndarray) -> np.ndarray:
-    """Half-open [start, end) column spans of each maximal run of True."""
-    edges = np.flatnonzero(np.diff(np.concatenate(([0], row.astype(np.uint8), [0]))))
-    return edges.reshape(-1, 2)
-
-
-def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
-    """Label connected foreground components; 0 marks background.
-
-    Works on horizontal runs merged across adjacent rows with union-find,
-    so cost scales with the number of runs, not pixels.  Labels start at 1
-    and are assigned in raster order of each component's first pixel,
-    which makes the result deterministic.
+    Every maximal run of True is a half-open [start, end) span, listed in
+    raster order with its 0-based component index.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
-    h, w = mask.shape
-    runs: list[tuple[int, int, int]] = []  # (y, start, end)
-    row_first: list[int] = []  # index of each row's first run
-    for y in range(h):
-        row_first.append(len(runs))
-        for a, b in _row_runs(mask[y]):
-            runs.append((y, int(a), int(b)))
-    row_first.append(len(runs))
+    mask = np.asarray(mask, dtype=bool)
+    h = mask.shape[0]
+    edges = np.diff(np.pad(mask.view(np.int8), ((0, 0), (1, 1))), axis=1)
+    rows, cols = np.nonzero(edges)  # each row alternates run start, run end
+    run_y, start, end = rows[0::2], cols[0::2], cols[1::2]
+    row_first = np.searchsorted(run_y, np.arange(h + 1)).tolist()
+    starts, ends = start.tolist(), end.tolist()
 
-    parent = list(range(len(runs)))
+    parent = list(range(len(starts)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -98,13 +89,11 @@ def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, in
                 parent[ri] = rj
 
     for y in range(1, h):
-        i = row_first[y - 1]
-        j = row_first[y]
-        end_prev = row_first[y]
-        end_cur = row_first[y + 1]
+        i, end_prev = row_first[y - 1], row_first[y]
+        j, end_cur = row_first[y], row_first[y + 1]
         while i < end_prev and j < end_cur:
-            _, b0, b1 = runs[i]
-            _, a0, a1 = runs[j]
+            b0, b1 = starts[i], ends[i]
+            a0, a1 = starts[j], ends[j]
             if connectivity == 8:
                 touching = a0 <= b1 and b0 <= a1
             else:
@@ -117,55 +106,59 @@ def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, in
             else:
                 j += 1
 
-    labels = np.zeros((h, w), dtype=np.int32)
-    label_of_root: dict[int, int] = {}
-    for idx, (y, a, b) in enumerate(runs):
-        root = find(idx)
-        lab = label_of_root.get(root)
-        if lab is None:
-            lab = len(label_of_root) + 1
-            label_of_root[root] = lab
-        labels[y, a:b] = lab
-    return labels, len(label_of_root)
+    # A root is its component's first run, so sorted roots number the
+    # components in raster order of their first pixel.
+    roots, component = np.unique(
+        np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
+    )
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(component + 1, end - start)  # True pixels are the runs in order
+    return labels, len(roots), (run_y, start, end, component)
+
+
+def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
+    """Label connected foreground components; 0 marks background.
+
+    Works on horizontal runs merged across adjacent rows with union-find,
+    so cost scales with the number of runs, not pixels.  Labels start at 1
+    and are assigned in raster order of each component's first pixel,
+    which makes the result deterministic.
+    """
+    labels, count, _ = _label_runs(mask, connectivity)
+    return labels, count
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
-    """Maximal connected components of the foreground as Blob records."""
-    labels, count = label_image(mask, connectivity)
-    if count == 0:
-        return []
-    stats = [
-        {"area": 0, "min_x": 0, "min_y": 0, "max_x": 0, "max_y": 0, "sum_x": 0, "sum_y": 0}
-        for _ in range(count)
+    """Maximal connected components of the foreground as Blob records.
+
+    Stats come from the labelled runs, never from a rescan of the labels.
+    """
+    labels, count, (run_y, start, end, component) = _label_runs(mask, connectivity)
+    length = end - start
+
+    def total(weights: np.ndarray) -> list[int]:
+        # float64 sums of integers stay exact far beyond any frame's totals (2**53)
+        return np.bincount(component, weights=weights, minlength=count).astype(np.int64).tolist()
+
+    def extreme(reduce: np.ufunc, values: np.ndarray, init: int) -> list[int]:
+        out = np.full(count, init)
+        reduce.at(out, component, values)
+        return out.tolist()
+
+    h, w = labels.shape
+    area = total(length)
+    sum_x = total(length * (start + end - 1) // 2)
+    sum_y = total(length * run_y)
+    bounds = zip(
+        extreme(np.minimum, start, w),
+        extreme(np.minimum, run_y, h),
+        extreme(np.maximum, end - 1, -1),
+        extreme(np.maximum, run_y, -1),
+    )
+    return [
+        Blob(label=lab, area=a, bbox=bbox, centroid=(sx / a, sy / a), labels=labels)
+        for lab, a, bbox, sx, sy in zip(range(1, count + 1), area, bounds, sum_x, sum_y)
     ]
-    seen = [False] * count
-    for y in range(labels.shape[0]):
-        for a, b in _row_runs(labels[y] > 0):
-            lab = int(labels[y, a])
-            st = stats[lab - 1]
-            n = int(b - a)
-            if not seen[lab - 1]:
-                seen[lab - 1] = True
-                st["min_x"], st["min_y"] = int(a), y
-                st["max_x"], st["max_y"] = int(b) - 1, y
-            st["area"] += n
-            st["min_x"] = min(st["min_x"], int(a))
-            st["max_x"] = max(st["max_x"], int(b) - 1)
-            st["max_y"] = y
-            st["sum_x"] += n * (int(a) + int(b) - 1) // 2
-            st["sum_y"] += n * y
-    blobs = []
-    for lab, st in enumerate(stats, start=1):
-        blobs.append(
-            Blob(
-                label=lab,
-                area=st["area"],
-                bbox=(st["min_x"], st["min_y"], st["max_x"], st["max_y"]),
-                centroid=(st["sum_x"] / st["area"], st["sum_y"] / st["area"]),
-                labels=labels,
-            )
-        )
-    return blobs
 
 
 def depth_threshold(
@@ -180,10 +173,8 @@ def depth_threshold(
     if not 0 <= seed.depth_raw <= params.raw_valid_max:
         raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
     seed_cm = raw_to_cm(seed.depth_raw, params)
-    cm, valid = depth_image_cm(frame.samples, params)
-    mask = np.zeros(valid.shape, dtype=bool)
-    mask[valid] = np.abs(cm[valid] - seed_cm) <= band_cm
-    return mask
+    in_band = np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
+    return in_band[frame.samples]
 
 
 def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
@@ -212,23 +203,23 @@ def find_hand_seeds(
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
     samples = frame.samples
-    valid = samples <= params.raw_valid_max
-    if not valid.any():
+    near_raw = int(samples.min())
+    if near_raw > params.raw_valid_max:
         raise NotFoundError("frame has no valid depth samples")
-    near_raw = int(samples[valid].min())
     near_cm = raw_to_cm(near_raw, params)
-    cm, _ = depth_image_cm(samples, params)
-    fg = np.zeros(valid.shape, dtype=bool)
-    fg[valid] = cm[valid] <= near_cm + slab_cm
-    blobs = [b for b in connected_components(fg) if b.area >= min_area]
+    in_slab = params.cm_table <= near_cm + slab_cm  # NaN (invalid) is False
+    blobs = [b for b in connected_components(in_slab[samples]) if b.area >= min_area]
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: (-b.area, b.label))
     seeds = []
     for blob in blobs[:max_hands]:
-        vals = np.where(blob.mask, samples.astype(np.int64), 4096)
-        flat = int(np.argmin(vals))  # first min in raster order
-        y, x = divmod(flat, vals.shape[1])
+        min_x, min_y, max_x, max_y = blob.bbox
+        box = np.s_[min_y:max_y + 1, min_x:max_x + 1]
+        vals = np.where(blob.labels[box] == blob.label, samples[box], 4096)
+        # first min in raster order of the bbox, which is the frame's raster order
+        dy, dx = divmod(int(np.argmin(vals)), vals.shape[1])
+        x, y = min_x + dx, min_y + dy
         seeds.append(HandSeed(x=x, y=y, depth_raw=int(samples[y, x])))
     return seeds
 

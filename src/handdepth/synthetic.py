@@ -370,14 +370,20 @@ def hand_spec_from_dict(data: dict) -> HandSpec:
 
 
 def scene_from_dict(data: dict) -> Scene:
+    if not isinstance(data, dict):
+        raise ConfigError("each scene must be an object")
     unknown = set(data) - _SCENE_KEYS
     if unknown:
         raise ConfigError(f"unknown scene keys: {sorted(unknown)}")
+    size = data.get("frame_size", (320, 240))
+    if not (isinstance(size, (list, tuple)) and len(size) == 2
+            and all(type(v) is int and v > 0 for v in size)):
+        raise ConfigError(f"frame_size must be two positive integers, got {size!r}")
     try:
         hands = tuple(hand_spec_from_dict(h) for h in data.get("hands", []))
         return Scene(
             hands=hands,
-            frame_size=tuple(data.get("frame_size", (320, 240))),
+            frame_size=tuple(size),
             background_depth_cm=float(data.get("background_depth_cm", 200.0)),
             dropout_rate=float(data.get("dropout_rate", 0.0)),
             noise_seed=int(data.get("noise_seed", 0)),

@@ -44,7 +44,6 @@ class _Track:
     identity: HandId | None  # RIGHT/LEFT once assigned in a two-hand frame
     x: float
     y: float
-    last_frame: int = -1
     misses: int = 0
 
 
@@ -146,13 +145,12 @@ def update(state: TrackState, reports: list[HandReport], frame_index: int) -> Tr
         if track is None:
             identity = report.hand_id if report.hand_id is not HandId.SINGLE else None
             state.tracks.append(
-                _Track(identity=identity, x=report.palm.x, y=report.palm.y, last_frame=frame_index)
+                _Track(identity=identity, x=report.palm.x, y=report.palm.y)
             )
             matched.add(len(state.tracks) - 1)
         else:
             t = state.tracks[track]
             t.x, t.y = report.palm.x, report.palm.y
-            t.last_frame = frame_index
             t.misses = 0
             matched.add(track)
 

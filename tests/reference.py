@@ -90,6 +90,69 @@ def flood_fill_components(mask: np.ndarray, connectivity: int = 8) -> list[froze
     return comps
 
 
+def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, list[tuple]]:
+    """Run labelling one row at a time, then a second per-row pass for stats.
+
+    The labeller the library used before its runs were found in one
+    vectorised pass, kept as the equivalence oracle.  Returns the int32
+    label image and, per label in order, ``(area, bbox, centroid)`` with
+    bbox ``(min_x, min_y, max_x, max_y)`` and centroid ``(x, y)``.
+    """
+
+    def row_runs(row):
+        edges = np.flatnonzero(np.diff(np.concatenate(([0], row.astype(np.uint8), [0]))))
+        return edges.reshape(-1, 2)
+
+    h, w = mask.shape
+    runs, row_first = [], []
+    for y in range(h):
+        row_first.append(len(runs))
+        runs.extend((y, int(a), int(b)) for a, b in row_runs(mask[y]))
+    row_first.append(len(runs))
+    parent = list(range(len(runs)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for y in range(1, h):
+        i, j = row_first[y - 1], row_first[y]
+        while i < row_first[y] and j < row_first[y + 1]:
+            _, b0, b1 = runs[i]
+            _, a0, a1 = runs[j]
+            touching = (a0 <= b1 and b0 <= a1) if connectivity == 8 else (a0 < b1 and b0 < a1)
+            if touching:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+            if b1 < a1:
+                i += 1
+            else:
+                j += 1
+
+    labels = np.zeros((h, w), dtype=np.int32)
+    label_of_root: dict[int, int] = {}
+    for idx, (y, a, b) in enumerate(runs):
+        labels[y, a:b] = label_of_root.setdefault(find(idx), len(label_of_root) + 1)
+
+    stats = [None] * len(label_of_root)
+    for y in range(h):
+        for a, b in row_runs(labels[y] > 0):
+            lab, a, b, n = int(labels[y, a]), int(a), int(b), int(b - a)
+            if stats[lab - 1] is None:
+                stats[lab - 1] = [0, a, y, b - 1, y, 0, 0]
+            st = stats[lab - 1]
+            st[0] += n
+            st[1], st[3], st[4] = min(st[1], a), max(st[3], b - 1), y
+            st[5] += n * (a + b - 1) // 2
+            st[6] += n * y
+    return labels, [
+        (area, (x0, y0, x1, y1), (sx / area, sy / area))
+        for area, x0, y0, x1, y1, sx, sy in stats
+    ]
+
+
 def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int) -> tuple[int, int]:
     """Where np.rot90(frame, quarter_turns) moves the pixel at (x, y)."""
     for _ in range(quarter_turns % 4):

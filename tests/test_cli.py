@@ -74,6 +74,15 @@ def test_detect_rejects_unknown_config_key(tmp_path, frame_dir):
     assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("calibration", [{"h": "abc"}, {"raw_valid_max": "x"}, {"h": None}])
+def test_detect_and_bench_reject_mistyped_calibration(tmp_path, frame_dir, capsys, calibration):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calibration": calibration}))
+    assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
+    assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_detect_accepts_config(tmp_path, frame_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -125,10 +134,14 @@ def test_bench_metrics(tmp_path):
     assert doc["orientation_bins"]
 
 
-def test_bench_bad_scene_file(tmp_path):
+def test_bench_bad_scene_file(tmp_path, capsys):
     bad = tmp_path / "scenes.json"
-    bad.write_text(json.dumps({"scenes": [{"hands": [], "sensor": "x"}]}))
-    assert main(["bench", "--scenes", str(bad)]) == 2
+    for entry in ({"hands": [], "sensor": "x"}, [], {"hands": [], "frame_size": "x"},
+                  {"hands": [], "frame_size": [320, 0]}):
+        bad.write_text(json.dumps({"scenes": [entry]}))
+        assert main(["bench", "--scenes", str(bad)]) == 2
+        assert main(["synth", "--scenes", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_convert_round_trip(tmp_path, scene):

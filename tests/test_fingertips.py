@@ -115,7 +115,7 @@ def test_synthetic_tips_found_exactly():
     frame, truth = render_hand(spec, (180, 180), 170)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist, truth.support)
-    palm = extract_palm(truth.support, round(0.7 * center.inradius_px))
+    palm = extract_palm(dist, round(0.7 * center.inradius_px))
     masks = finger_masks(truth.support, palm, 12, (center.x, center.y))
     tips = detect_fingertips(frame, masks)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)
@@ -146,6 +146,6 @@ def test_margin_on_synthetic_finger():
     frame, truth = render_hand(spec, (140, 140), 160)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist, truth.support)
-    palm = extract_palm(truth.support, round(0.7 * center.inradius_px))
+    palm = extract_palm(dist, round(0.7 * center.inradius_px))
     (mask,) = finger_masks(truth.support, palm, 12, (center.x, center.y))
     assert tips_toward_camera_margin(frame, mask) >= 1

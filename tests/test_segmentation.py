@@ -3,22 +3,34 @@ import pytest
 
 from handdepth.errors import DomainError, NotFoundError
 from handdepth.frame_io import DepthFrame
-from handdepth.calibration import RAW_SENTINEL
+from handdepth.calibration import (
+    DEFAULT_CALIBRATION,
+    RAW_SENTINEL,
+    CalibrationParams,
+    depth_image_cm,
+    raw_to_cm,
+)
 from handdepth.segmentation import (
     HandSeed,
     connected_components,
     depth_threshold,
     fill_holes,
     find_hand_seeds,
+    label_image,
     select_hand_blob,
 )
 from handdepth.synthetic import HandSpec, render_hand, render_scene
 
-from reference import flood_fill_components, random_mask
+from reference import flood_fill_components, label_rowwise, random_mask
+
+
+def pixel_set(blob):
+    ys, xs = np.nonzero(blob.mask)
+    return frozenset((int(x), int(y)) for x, y in zip(xs, ys))
 
 
 def as_sets(blobs):
-    return {frozenset(b.pixels) for b in blobs}
+    return {pixel_set(b) for b in blobs}
 
 
 def test_empty_mask_has_no_components():
@@ -67,9 +79,46 @@ def test_labels_follow_raster_order_of_first_pixels():
     rng = np.random.default_rng(57)
     mask = random_mask(rng, (18, 18))
     blobs = connected_components(mask)
-    firsts = [min((y, x) for x, y in blob.pixels) for blob in blobs]
+    firsts = [min((y, x) for x, y in pixel_set(blob)) for blob in blobs]
     assert firsts == sorted(firsts)
     assert [blob.label for blob in blobs] == list(range(1, len(blobs) + 1))
+
+
+def labelling_cases():
+    rng = np.random.default_rng(58)
+    corners = np.zeros((9, 11), dtype=bool)
+    corners[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    border = random_mask(rng, (13, 17))
+    border[[0, -1]] = True
+    border[:, [0, -1]] = True
+    yield from (
+        rng.random((1, 37)) < 0.5,
+        rng.random((41, 1)) < 0.5,
+        np.ones((1, 1), dtype=bool),
+        np.ones((7, 9), dtype=bool),
+        np.zeros((7, 9), dtype=bool),
+        corners,
+        border,
+    )
+    for _ in range(120):
+        shape = (int(rng.integers(1, 28)), int(rng.integers(1, 28)))
+        yield random_mask(rng, shape)
+
+
+def test_labelling_matches_rowwise_labeller_and_flood_fill():
+    for mask in labelling_cases():
+        for conn in (8, 4):
+            ref_labels, ref_stats = label_rowwise(mask, conn)
+            labels, count = label_image(mask, conn)
+            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+            assert count == len(ref_stats)
+            blobs = connected_components(mask, conn)
+            got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
+            assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
+            assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
+            assert all(np.array_equal(b.labels, labels) for b in blobs)
+            # flood fill finds components in raster order of their first pixel
+            assert [pixel_set(b) for b in blobs] == flood_fill_components(mask, conn)
 
 
 def uniform_frame(raw: int, shape=(6, 8)) -> DepthFrame:
@@ -200,3 +249,63 @@ def test_fill_holes():
     bay = disk.copy()
     bay[0:16, 15] = False
     assert (fill_holes(bay) == bay).all()
+
+
+def float_band_mask(samples, seed_raw, band_cm, params):
+    """depth_threshold computed through a float cm image of the whole frame."""
+    cm, valid = depth_image_cm(samples, params)
+    mask = np.zeros(valid.shape, dtype=bool)
+    mask[valid] = np.abs(cm[valid] - raw_to_cm(seed_raw, params)) <= band_cm
+    return mask
+
+
+def float_hand_seeds(samples, max_hands, min_area, slab_cm, params):
+    """find_hand_seeds computed through a float cm image and full-frame argmins."""
+    valid = samples <= params.raw_valid_max
+    if not valid.any():
+        return NotFoundError
+    cm, _ = depth_image_cm(samples, params)
+    fg = np.zeros(valid.shape, dtype=bool)
+    fg[valid] = cm[valid] <= raw_to_cm(int(samples[valid].min()), params) + slab_cm
+    labels, stats = label_rowwise(fg)
+    big = [lab for lab, st in enumerate(stats, start=1) if st[0] >= min_area]
+    if not big:
+        return NotFoundError
+    big.sort(key=lambda lab: (-stats[lab - 1][0], lab))
+    seeds = []
+    for lab in big[:max_hands]:
+        vals = np.where(labels == lab, samples.astype(np.int64), 4096)
+        y, x = divmod(int(np.argmin(vals)), vals.shape[1])
+        seeds.append(HandSeed(x=x, y=y, depth_raw=int(samples[y, x])))
+    return seeds
+
+
+def every_raw_value_frames():
+    rng = np.random.default_rng(59)
+    codes = np.arange(RAW_SENTINEL + 1, dtype=np.uint16)
+    yield codes.reshape(32, 64)
+    yield rng.permutation(codes).reshape(64, 32)
+    for _ in range(3):  # every code once, plus blocky near regions
+        frame = np.concatenate([rng.permutation(codes), rng.integers(0, 2048, 1024)])
+        frame = frame.astype(np.uint16).reshape(48, 64)
+        y, x = rng.integers(0, 40), rng.integers(0, 56)
+        frame[y:y + 8, x:x + 8] = rng.integers(0, 12, (8, 8))
+        yield frame
+
+
+def test_thresholds_match_float_image_on_every_raw_value():
+    for params in (DEFAULT_CALIBRATION, CalibrationParams(raw_valid_max=1000)):
+        for samples in every_raw_value_frames():
+            frame = DepthFrame(samples)
+            for seed_raw in (0, 1, 517, 804, params.raw_valid_max - 1, params.raw_valid_max):
+                for band_cm in (0.3, 15.0, 400.0):
+                    got = depth_threshold(frame, HandSeed(0, 0, seed_raw), band_cm, params)
+                    assert np.array_equal(got, float_band_mask(samples, seed_raw, band_cm, params))
+            for slab_cm in (0.05, 20.0, 300.0):
+                for max_hands, min_area in ((1, 1), (2, 2), (2, 40)):
+                    want = float_hand_seeds(samples, max_hands, min_area, slab_cm, params)
+                    try:
+                        got = find_hand_seeds(frame, max_hands, min_area, slab_cm, params)
+                    except NotFoundError:
+                        got = NotFoundError
+                    assert got == want

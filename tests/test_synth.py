@@ -211,6 +211,10 @@ def test_scene_json_round_trip():
 def test_scene_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         scene_from_dict({"hands": [], "sensor": "imaginary"})
+    for bad in ([], {"hands": [], "frame_size": "x"}, {"hands": [], "frame_size": [320.0, 240]},
+                {"hands": [[]]}):
+        with pytest.raises(ConfigError):
+            scene_from_dict(bad)
     with pytest.raises(ConfigError):
         hand_spec_from_dict({"palm_center": [1, 1], "palm_radius": 5,
                              "finger_count": 0, "color": "red"})
