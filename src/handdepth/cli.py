@@ -7,8 +7,10 @@ configuration problems (bad config file, bad scene file, bad arguments).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .benchmark import run_benchmark
@@ -61,7 +63,10 @@ def _read_frame(path: Path, raw_dims: tuple[int, int] | None) -> DepthFrame:
     return frame
 
 
-def _input_frames(input_path: str, raw_dims: tuple[int, int] | None) -> list[tuple[str, DepthFrame]]:
+def _input_frames(
+    input_path: str, raw_dims: tuple[int, int] | None
+) -> Iterator[tuple[str, DepthFrame]]:
+    """Check the input now; decode its frames one file at a time as they are pulled."""
     root = Path(input_path)
     if root.is_dir():
         paths = sorted(p for p in root.iterdir() if p.suffix in FRAME_SUFFIXES)
@@ -71,7 +76,9 @@ def _input_frames(input_path: str, raw_dims: tuple[int, int] | None) -> list[tup
         if not root.exists():
             raise ConfigError(f"input {root} does not exist")
         paths = [root]
-    return [(p.stem, _read_frame(p, raw_dims)) for p in paths]
+    if raw_dims is None and any(p.suffix == ".r16" for p in paths):
+        raise ConfigError("--raw-dims is required for .r16 input")
+    return ((p.stem, _read_frame(p, raw_dims)) for p in paths)
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
@@ -79,18 +86,15 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         args.config,
         {"max_hands": args.max_hands, "workers": args.workers},
     )
-    named = _input_frames(args.input, args.raw_dims)
-    names = [n for n, _ in named]
-    frames = [f for _, f in named]
+    named, to_pipeline = itertools.tee(_input_frames(args.input, args.raw_dims))
+    reports = run_pipeline((frame for _, frame in to_pipeline), config)
 
     out = open(args.out_report, "wb") if args.out_report else None
     overlay_dir = Path(args.out_overlay_dir) if args.out_overlay_dir else None
     if overlay_dir:
         overlay_dir.mkdir(parents=True, exist_ok=True)
     try:
-        for name, frame, report in zip(
-            names, frames, run_pipeline(iter(frames), config)
-        ):
+        for (name, frame), report in zip(named, reports):
             line = write_report(report) + b"\n"
             if out:
                 out.write(line)

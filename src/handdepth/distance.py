@@ -1,8 +1,15 @@
 """Exact squared Euclidean distance transform and palm-center extraction.
 
-The transform is separable: a column sweep reduces the 2-D problem to
-one exact 1-D distance per column, then a per-row lower-envelope pass
-over parabolas yields the full squared distance.  Everything stays in
+The transform is separable and runs as whole-array numpy passes.  The
+column pass finds, for every pixel, the nearest target row above it (a
+running maximum of target row indices down each column) and below it (a
+running minimum up each column); the smaller gap is the exact 1-D
+column distance g.  The row pass starts from g and, for each offset
+k = 1, 2, ..., lowers every entry to g[y, x - k] + k^2 and
+g[y, x + k] + k^2 where those are smaller.  No offset can lower an
+entry once k^2 reaches the largest current value, so the pass stops
+there: for a hand mask after about inradius offsets.  Cost is
+O(pixels * offsets) with O(pixels) memory.  Everything stays in
 integers; the square root is taken only when a radius is reported, so
 comparisons (and the morphology built on top of this module) are exact.
 """
@@ -26,68 +33,34 @@ class PalmCenter:
     inradius_px: float
 
 
-def _column_distances(target: np.ndarray) -> np.ndarray:
-    """Per pixel: distance (not squared) to the nearest target pixel in its column."""
-    h, w = target.shape
-    far = h + w + 1
-    out = np.empty((h, w), dtype=np.int64)
-    cur = np.full(w, far, dtype=np.int64)
-    for y in range(h):
-        cur = np.where(target[y], 0, np.minimum(cur + 1, far))
-        out[y] = cur
-    cur = np.full(w, far, dtype=np.int64)
-    for y in range(h - 1, -1, -1):
-        cur = np.minimum(cur + 1, out[y])
-        out[y] = cur
-    return np.minimum(out, far)
-
-
-def _envelope_row(g: list[int], n: int) -> list[int]:
-    """1-D squared-distance pass: d[x] = min over x' of (x - x')^2 + g[x']."""
-    v = [0] * n           # parabola sites
-    z = [0.0] * (n + 1)   # boundaries between envelope segments
-    d = [0] * n
-    k = 0
-    z[0] = -math.inf
-    z[1] = math.inf
-    for q in range(1, n):
-        fq = g[q] + q * q
-        while True:
-            p = v[k]
-            s = (fq - (g[p] + p * p)) / (2 * q - 2 * p)
-            if s <= z[k]:
-                k -= 1
-            else:
-                break
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = math.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        p = v[k]
-        d[q] = (q - p) * (q - p) + g[p]
-    return d
-
-
-def sq_edt(target: np.ndarray) -> np.ndarray:
+def sq_edt(target: np.ndarray, *, limit: int | None = None) -> np.ndarray:
     """Exact squared distance from every pixel to the nearest True pixel.
 
     If no pixel is True, every entry holds a value strictly larger than
-    any squared distance realizable on the grid.
+    any squared distance realizable on the grid.  With ``limit``, entries
+    up to ``limit`` are exact and every other entry is only guaranteed to
+    exceed it, which is all a threshold at ``limit`` needs.
     """
     h, w = target.shape
     far = h + w + 1
     if not target.any():
         return np.full((h, w), far * far, dtype=np.int64)
-    col = _column_distances(target)
+    # Every intermediate stays below 2 * far**2, so int32 holds it on any
+    # realistic frame; int32 halves the memory traffic of the row pass.
+    dtype = np.int32 if 2 * far * far <= np.iinfo(np.int32).max else np.int64
+    rows = np.arange(h, dtype=dtype)[:, None]
+    above = np.maximum.accumulate(np.where(target, rows, -far), axis=0)
+    below = np.minimum.accumulate(np.where(target, rows, h + far)[::-1], axis=0)[::-1]
+    col = np.minimum(np.minimum(rows - above, below - rows), far)
     g = col * col
-    out = np.empty((h, w), dtype=np.int64)
-    for y in range(h):
-        out[y] = _envelope_row(g[y].tolist(), w)
-    return out
+    out = g.copy()
+    k = 1
+    while k < w and k * k < out.max() and (limit is None or k * k <= limit):
+        kk = k * k
+        np.minimum(out[:, k:], g[:, :-k] + kk, out=out[:, k:])
+        np.minimum(out[:, :-k], g[:, k:] + kk, out=out[:, :-k])
+        k += 1
+    return out.astype(np.int64, copy=False)
 
 
 def distance_transform(mask: np.ndarray) -> np.ndarray:

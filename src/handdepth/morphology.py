@@ -4,8 +4,10 @@ Erosion and dilation are computed by thresholding the exact squared
 distance transform: a pixel survives erosion by a radius-r disk iff its
 squared distance to background exceeds r*r, and dilation is the dual
 threshold on the distance to foreground.  This is exact for closed
-disks (offsets dx^2 + dy^2 <= r^2) and costs O(pixels) regardless of
-radius.  Out-of-frame pixels count as background.
+disks (offsets dx^2 + dy^2 <= r^2).  Dilation only needs distances up
+to r*r, so its transform stops after r row offsets and costs
+O(pixels * r); erosion's transform runs to the mask's inradius.
+Out-of-frame pixels count as background.
 
 One distance map per hand gives the palm inradius, the erosion (its
 threshold at r*r in extract_palm) and the palm-center argmax.
@@ -45,7 +47,8 @@ def dilate(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
     """Minkowski dilation: mark pixels within the disk of any foreground pixel."""
     if elem.radius == 0:
         return mask.copy()
-    return sq_edt(mask) <= elem.radius * elem.radius
+    rr = elem.radius * elem.radius
+    return sq_edt(mask, limit=rr) <= rr
 
 
 def opening(mask: np.ndarray, elem: DiskElement) -> np.ndarray:

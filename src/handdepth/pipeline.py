@@ -207,10 +207,10 @@ def run_pipeline(
             candidates = pool.map(lambda f: extract_hands(f, config), frames)
             for index, observed in enumerate(candidates):
                 reports = label_hands(observed, state)
-                update(state, reports, index)
+                update(state, reports)
                 yield DetectionReport(frame_index=index, hands=reports)
     else:
         for index, frame in enumerate(frames):
             reports = label_hands(extract_hands(frame, config), state)
-            update(state, reports, index)
+            update(state, reports)
             yield DetectionReport(frame_index=index, hands=reports)

@@ -110,7 +110,7 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
     return ordered
 
 
-def update(state: TrackState, reports: list[HandReport], frame_index: int) -> TrackState:
+def update(state: TrackState, reports: list[HandReport]) -> TrackState:
     """Refresh tracks from this frame's reports; stale tracks age out.
 
     Matched tracks reset their miss count; unmatched ones accumulate

@@ -6,6 +6,7 @@ set definitions, BFS) and never calls into the algorithms under test.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -23,6 +24,76 @@ def edt_bruteforce(mask: np.ndarray) -> np.ndarray:
     ys, xs = np.mgrid[0:h, 0:w]
     d = (ys.ravel()[:, None] - by[None, :]) ** 2 + (xs.ravel()[:, None] - bx[None, :]) ** 2
     return d.min(axis=1).reshape(h, w)[1:-1, 1:-1].astype(np.int64)
+
+
+def sq_edt_bruteforce(target: np.ndarray) -> np.ndarray:
+    """Squared distance to the nearest True pixel, O(n^2 k), unpadded.
+
+    With no True pixel every entry is (h + w + 1)^2, the library's
+    saturation value.
+    """
+    h, w = target.shape
+    if not target.any():
+        return np.full((h, w), (h + w + 1) ** 2, dtype=np.int64)
+    ty, tx = np.nonzero(target)
+    ys, xs = np.mgrid[0:h, 0:w]
+    d = (ys.ravel()[:, None] - ty[None, :]) ** 2 + (xs.ravel()[:, None] - tx[None, :]) ** 2
+    return d.min(axis=1).reshape(h, w).astype(np.int64)
+
+
+def sq_edt_envelope(target: np.ndarray) -> np.ndarray:
+    """Squared distance to the nearest True pixel by two per-line sweeps.
+
+    The transform the library used before its row pass was vectorised,
+    kept as the equivalence oracle: a down-and-up sweep per column gives
+    the 1-D column distance, then Felzenszwalb & Huttenlocher's lower
+    envelope of parabolas ("Distance Transforms of Sampled Functions",
+    ToC 2012) runs once per row in plain Python.
+    """
+    h, w = target.shape
+    far = h + w + 1
+    if not target.any():
+        return np.full((h, w), far * far, dtype=np.int64)
+    col = np.empty((h, w), dtype=np.int64)
+    cur = np.full(w, far, dtype=np.int64)
+    for y in range(h):
+        cur = np.where(target[y], 0, np.minimum(cur + 1, far))
+        col[y] = cur
+    cur = np.full(w, far, dtype=np.int64)
+    for y in range(h - 1, -1, -1):
+        cur = np.minimum(cur + 1, col[y])
+        col[y] = cur
+    g = np.minimum(col, far) ** 2
+
+    def envelope_row(f: list[int]) -> list[int]:
+        v = [0] * w           # parabola sites
+        z = [0.0] * (w + 1)   # boundaries between envelope segments
+        d = [0] * w
+        k = 0
+        z[0] = -math.inf
+        z[1] = math.inf
+        for q in range(1, w):
+            fq = f[q] + q * q
+            while True:
+                p = v[k]
+                s = (fq - (f[p] + p * p)) / (2 * q - 2 * p)
+                if s <= z[k]:
+                    k -= 1
+                else:
+                    break
+            k += 1
+            v[k] = q
+            z[k] = s
+            z[k + 1] = math.inf
+        k = 0
+        for q in range(w):
+            while z[k + 1] < q:
+                k += 1
+            p = v[k]
+            d[q] = (q - p) * (q - p) + f[p]
+        return d
+
+    return np.array([envelope_row(row) for row in g.tolist()], dtype=np.int64)
 
 
 def shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:

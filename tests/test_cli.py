@@ -56,6 +56,14 @@ def test_detect_r16_requires_dims(tmp_path, scene):
     raw_path.write_bytes(write_raw(frame))
     assert main(["detect", "--input", str(raw_path)]) == 2
     assert main(["detect", "--input", str(raw_path), "--raw-dims", "320x240"]) == 0
+    # checked before any frame is decoded or any report written
+    mixed = tmp_path / "mixed"
+    mixed.mkdir()
+    (mixed / "a.pgm").write_bytes(write_pgm(frame))
+    (mixed / "b.r16").write_bytes(write_raw(frame))
+    report = tmp_path / "out.jsonl"
+    assert main(["detect", "--input", str(mixed), "--out-report", str(report)]) == 2
+    assert not report.exists()
 
 
 def test_detect_missing_input(tmp_path):
@@ -66,6 +74,23 @@ def test_detect_corrupt_pgm_is_format_error(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n4 4\n2047\n\x00\x01")  # truncated
     assert main(["detect", "--input", str(bad)]) == 1
+
+
+def test_detect_reports_frames_before_a_corrupt_one(tmp_path, frame_dir, capsys):
+    (frame_dir / "f001.pgm").write_bytes(b"P5\n4 4\n2047\n\x00\x01")  # truncated
+    report = tmp_path / "out.jsonl"
+    overlays = tmp_path / "overlays"
+    code = main([
+        "detect", "--input", str(frame_dir),
+        "--out-report", str(report), "--out-overlay-dir", str(overlays),
+    ])
+    assert code == 1
+    (line,) = report.read_bytes().splitlines()
+    assert json.loads(line)["frame_index"] == 0
+    assert [p.name for p in overlays.iterdir()] == ["f000.ppm"]
+    err = capsys.readouterr().err
+    assert err.startswith("format error:")
+    assert "Traceback" not in err
 
 
 def test_detect_rejects_unknown_config_key(tmp_path, frame_dir):

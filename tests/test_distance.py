@@ -1,10 +1,59 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError
 
-from reference import edt_bruteforce, random_mask
+from reference import edt_bruteforce, random_mask, sq_edt_bruteforce, sq_edt_envelope
+
+# Random masks of mixed size and density; density 0 and 1 give all-False and all-True.
+masks = st.builds(
+    lambda h, w, density, seed: np.random.default_rng(seed).random((h, w)) < density,
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+deterministic = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def edge_masks():
+    """1xN, Nx1, 1x1, all-True, all-False and border-touching masks."""
+    yield np.array([[True]])
+    yield np.array([[False]])
+    row = np.array([[False, True, False, False, False, True, False, False, False]])
+    yield row
+    yield row.T
+    yield ~row
+    yield ~row.T
+    yield np.ones((1, 9), dtype=bool)
+    yield np.zeros((9, 1), dtype=bool)
+    yield np.ones((6, 7), dtype=bool)
+    yield np.zeros((6, 7), dtype=bool)
+    for side in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1], np.s_[0, 0], np.s_[-1, -1]):
+        mask = np.zeros((6, 7), dtype=bool)
+        mask[side] = True
+        yield mask
+        yield ~mask
+
+
+def assert_matches_oracles(mask):
+    got, want = sq_edt(mask), sq_edt_bruteforce(mask)
+    assert got.dtype == np.int64
+    assert (got == want).all()
+    assert (got == sq_edt_envelope(mask)).all()
+    dist = distance_transform(mask)
+    assert (dist == edt_bruteforce(mask)).all()
+    assert (dist == sq_edt_envelope(~np.pad(mask, 1))[1:-1, 1:-1]).all()
+
+
+def assert_limit_contract(target, limit):
+    exact = sq_edt_bruteforce(target)
+    got = sq_edt(target, limit=limit)
+    near = exact <= limit
+    assert (got[near] == exact[near]).all()
+    assert (got[~near] > limit).all()
 
 
 def all_masks_3x3():
@@ -51,6 +100,40 @@ def test_one_lipschitz_in_plain_metric():
     d = np.sqrt(distance_transform(mask).astype(float))
     assert (np.abs(np.diff(d, axis=0)) <= 1 + 1e-9).all()
     assert (np.abs(np.diff(d, axis=1)) <= 1 + 1e-9).all()
+
+
+def test_edge_masks_match_envelope_and_bruteforce():
+    for mask in edge_masks():
+        assert_matches_oracles(mask)
+
+
+@deterministic
+@given(masks)
+def test_random_masks_match_envelope_and_bruteforce(mask):
+    assert_matches_oracles(mask)
+
+
+def test_limit_contract_on_edge_masks():
+    for mask in edge_masks():  # the all-False ones are empty targets
+        for limit in (0, 1, 2, 5, 50):
+            assert_limit_contract(mask, limit)
+
+
+@deterministic
+@given(masks, st.integers(0, 80))
+def test_limit_contract_on_random_masks(mask, limit):
+    assert_limit_contract(mask, limit)
+    assert_limit_contract(mask, 0)
+    assert_limit_contract(mask, 1)
+
+
+def test_distances_past_int32_range():
+    target = np.zeros((50_000, 2), dtype=bool)
+    target[0, 0] = True
+    ys, xs = np.mgrid[0:50_000, 0:2]
+    got = sq_edt(target)
+    assert got.dtype == np.int64
+    assert (got == ys.astype(np.int64) ** 2 + xs**2).all()
 
 
 def test_sq_edt_empty_target_saturates():

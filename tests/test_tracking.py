@@ -44,7 +44,7 @@ def test_exactly_one_right_and_one_left():
         hands = [obs(50 + frame, 10), obs(200 - frame, 12)]
         reports = label_hands(hands, state)
         assert sorted(r.hand_id.value for r in reports) == ["Left", "Right"]
-        update(state, reports, frame)
+        update(state, reports)
 
 
 def test_three_hands_rejected():
@@ -56,7 +56,7 @@ def test_continuity_overrides_x_order():
     state = TrackState()
     # Right is born at (104, 160), Left at (96, 80); they pass in x
     first = label_hands([obs(96, 80), obs(104, 160)], state)
-    update(state, first, 0)
+    update(state, first)
     second = label_hands([obs(98, 160), obs(106, 80)], state)
     by_id = {r.hand_id: (r.palm.x, r.palm.y) for r in second}
     assert by_id[HandId.RIGHT] == (98, 160)  # x-order alone would flip these
@@ -70,7 +70,7 @@ def test_crossing_sequence_no_swaps():
         a = obs(60 + 5 * frame, 80)    # moves right
         b = obs(260 - 5 * frame, 160)  # moves left; starts as Right
         reports = label_hands([a, b], state)
-        update(state, reports, frame)
+        update(state, reports)
         by_id = {r.hand_id: r.palm for r in reports}
         right_xs.append(by_id[HandId.RIGHT].y)
     assert set(right_xs) == {160}  # Right stays the y=160 hand throughout
@@ -78,25 +78,25 @@ def test_crossing_sequence_no_swaps():
 
 def test_update_drops_after_max_misses():
     state = TrackState(max_misses=5)
-    update(state, label_hands([obs(10, 10)], state), 0)
+    update(state, label_hands([obs(10, 10)], state))
     assert len(state.tracks) == 1
-    for frame in range(1, 6):
-        update(state, [], frame)
+    for _ in range(5):
+        update(state, [])
     assert state.tracks == []
 
 
 def test_update_survives_brief_dropout():
     state = TrackState(max_misses=5)
-    update(state, label_hands([obs(10, 10)], state), 0)
-    for frame in range(1, 5):
-        update(state, [], frame)
+    update(state, label_hands([obs(10, 10)], state))
+    for _ in range(4):
+        update(state, [])
     assert len(state.tracks) == 1  # four misses: still alive
 
 
 def test_stationary_hand_keeps_position():
     state = TrackState()
-    for frame in range(6):
-        update(state, label_hands([obs(33, 44)], state), frame)
+    for _ in range(6):
+        update(state, label_hands([obs(33, 44)], state))
     (track,) = state.tracks
     assert (track.x, track.y) == (33, 44)
     assert track.misses == 0
@@ -105,7 +105,7 @@ def test_stationary_hand_keeps_position():
 def test_moving_hand_follows():
     state = TrackState()
     for frame in range(10):
-        update(state, label_hands([obs(10 + 3 * frame, 20)], state), frame)
+        update(state, label_hands([obs(10 + 3 * frame, 20)], state))
         (track,) = state.tracks
         assert (track.x, track.y) == (10 + 3 * frame, 20)
 
@@ -113,11 +113,11 @@ def test_moving_hand_follows():
 def test_single_then_two_hands_keeps_identity():
     state = TrackState()
     # a two-hand phase assigns identities
-    update(state, label_hands([obs(60, 50), obs(220, 50)], state), 0)
+    update(state, label_hands([obs(60, 50), obs(220, 50)], state))
     # one hand leaves; the remaining one reports Single but keeps its track
     (single,) = label_hands([obs(222, 52)], state)
     assert single.hand_id is HandId.SINGLE
-    update(state, [single], 1)
+    update(state, [single])
     # the other hand returns on the far side: continuity keeps Right on the right track
     reports = label_hands([obs(58, 50), obs(224, 54)], state)
     by_id = {r.hand_id: r.palm.x for r in reports}
@@ -131,7 +131,7 @@ def test_label_hands_deterministic():
         out = []
         for frame in range(8):
             reports = label_hands([obs(50 + frame, 10), obs(120 - frame, 30)], state)
-            update(state, reports, frame)
+            update(state, reports)
             out.append([(r.hand_id.value, r.palm.x, r.palm.y) for r in reports])
         return out
 
