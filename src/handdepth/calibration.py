@@ -45,6 +45,9 @@ class CalibrationParams:
                 raise DomainError(f"calibration parameter {name} must be finite")
         if self.h_rad <= 0 or self.k_cm <= 0:
             raise DomainError("h_rad and k_cm must be positive")
+        if self.l_rad <= -math.pi / 2:
+            # a second pole at h*raw + l = -pi/2 would break monotonicity
+            raise DomainError("l_rad must exceed -pi/2")
         if not 0 <= self.raw_valid_max <= RAW_CEILING:
             raise DomainError("raw_valid_max must lie in [0, 2046]")
         if self.raw_valid_max > valid_domain(self):

@@ -33,9 +33,12 @@ FRAME_SUFFIXES = (".pgm", ".r16")
 def _parse_dims(text: str) -> tuple[int, int]:
     try:
         w, h = text.lower().split("x")
-        return int(w), int(h)
+        w, h = int(w), int(h)
     except ValueError as exc:
         raise ConfigError(f"--raw-dims must look like 320x240, got {text!r}") from exc
+    if w < 1 or h < 1:
+        raise ConfigError(f"--raw-dims needs both dimensions >= 1, got {text!r}")
+    return w, h
 
 
 def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
@@ -82,10 +85,7 @@ def _input_frames(
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_config(
-        args.config,
-        {"max_hands": args.max_hands, "workers": args.workers},
-    )
+    config = _load_config(args.config, {"max_hands": args.max_hands})
     named, to_pipeline = itertools.tee(_input_frames(args.input, args.raw_dims))
     reports = run_pipeline((frame for _, frame in to_pipeline), config)
 
@@ -202,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--out-report", default=None, help="JSONL report path (default stdout)")
     detect.add_argument("--out-overlay-dir", default=None, help="write PPM overlays here")
     detect.add_argument("--max-hands", type=int, choices=(1, 2), default=None)
-    detect.add_argument("--workers", type=int, default=None)
     detect.set_defaults(func=_cmd_detect)
 
     synth = sub.add_parser("synth", help="render synthetic scenes with ground truth")

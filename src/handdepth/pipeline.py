@@ -13,7 +13,6 @@ it on the palm body even for extreme poses.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
@@ -56,7 +55,6 @@ class PipelineConfig:
     min_finger_area: int | None = None  # None: scale with the hand's area
     max_hands: int = 2
     max_misses: int = 5
-    workers: int = 1
 
     def __post_init__(self) -> None:
         if self.band_cm <= 0 or self.slab_cm <= 0:
@@ -71,8 +69,6 @@ class PipelineConfig:
             raise ConfigError("max_hands must be 1 or 2")
         if self.max_misses < 1:
             raise ConfigError("max_misses must be >= 1")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
 
 
 _CALIBRATION_KEYS = {"h": "h_rad", "k": "k_cm", "l": "l_rad", "o": "o_cm",
@@ -122,7 +118,6 @@ def config_to_dict(config: PipelineConfig) -> dict:
         "min_finger_area": config.min_finger_area,
         "max_hands": config.max_hands,
         "max_misses": config.max_misses,
-        "workers": config.workers,
     }
 
 
@@ -197,20 +192,11 @@ def run_pipeline(
 ) -> Iterator[DetectionReport]:
     """Detect, label, and track hands over an ordered frame sequence.
 
-    Per-frame analysis may fan out to a worker pool; results are consumed
-    in input order and the tracker state advances strictly frame by
-    frame, so output is identical for any worker count.
+    Frames are pulled one at a time: each report is yielded before the
+    next frame is drawn, and the tracker state advances frame by frame.
     """
     state = TrackState(max_misses=config.max_misses)
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            candidates = pool.map(lambda f: extract_hands(f, config), frames)
-            for index, observed in enumerate(candidates):
-                reports = label_hands(observed, state)
-                update(state, reports)
-                yield DetectionReport(frame_index=index, hands=reports)
-    else:
-        for index, frame in enumerate(frames):
-            reports = label_hands(extract_hands(frame, config), state)
-            update(state, reports)
-            yield DetectionReport(frame_index=index, hands=reports)
+    for index, frame in enumerate(frames):
+        reports = label_hands(extract_hands(frame, config), state)
+        update(state, reports)
+        yield DetectionReport(frame_index=index, hands=reports)

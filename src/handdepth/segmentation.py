@@ -231,13 +231,10 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     place they would wreck the distance transform (a hole looks like
     background right next to the palm center).  Background is traced with
     4-connectivity, the proper dual of 8-connected foreground.
+
+    The padding ring is one 4-connected background component holding
+    pixel (0, 0), so raster-order labelling always numbers it 1.
     """
     padded = np.pad(mask, 1, constant_values=False)
-    labels, count = label_image(~padded, connectivity=4)
-    if count == 0:
-        return mask.copy()
-    border = np.unique(
-        np.concatenate([labels[0], labels[-1], labels[:, 0], labels[:, -1]])
-    )
-    outside = np.isin(labels, border[border > 0])
-    return (~outside)[1:-1, 1:-1]
+    labels, _ = label_image(~padded, connectivity=4)
+    return labels[1:-1, 1:-1] != 1

@@ -2,6 +2,7 @@
 
 Everything here is written from first principles (brute force, explicit
 set definitions, BFS) and never calls into the algorithms under test.
+The mask generators at the end feed the oracle comparisons.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import math
 from collections import deque
 
 import numpy as np
+from hypothesis import settings, strategies as st
 
 
 def edt_bruteforce(mask: np.ndarray) -> np.ndarray:
@@ -234,3 +236,34 @@ def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int
 
 def random_mask(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.random(shape) < rng.uniform(0.15, 0.85)
+
+
+# Random masks of mixed size and density; density 0 and 1 give all-False and all-True.
+masks = st.builds(
+    lambda h, w, density, seed: np.random.default_rng(seed).random((h, w)) < density,
+    st.integers(1, 40),
+    st.integers(1, 40),
+    st.floats(0, 1),
+    st.integers(0, 2**32 - 1),
+)
+deterministic = settings(max_examples=200, derandomize=True, database=None, deadline=None)
+
+
+def edge_masks():
+    """1xN, Nx1, 1x1, all-True, all-False and border-touching masks."""
+    yield np.array([[True]])
+    yield np.array([[False]])
+    row = np.array([[False, True, False, False, False, True, False, False, False]])
+    yield row
+    yield row.T
+    yield ~row
+    yield ~row.T
+    yield np.ones((1, 9), dtype=bool)
+    yield np.zeros((9, 1), dtype=bool)
+    yield np.ones((6, 7), dtype=bool)
+    yield np.zeros((6, 7), dtype=bool)
+    for side in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1], np.s_[0, 0], np.s_[-1, -1]):
+        mask = np.zeros((6, 7), dtype=bool)
+        mask[side] = True
+        yield mask
+        yield ~mask

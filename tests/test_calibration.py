@@ -79,6 +79,15 @@ def test_valid_domain_degenerate():
         CalibrationParams(l_rad=math.pi / 2)
 
 
+def test_second_pole_below_the_domain_rejected():
+    # h*raw + l would cross -pi/2 inside [0, raw_valid_max], where cm jumps from +inf to -inf
+    for l_rad in (-1.6, -math.pi / 2):
+        with pytest.raises(DomainError):
+            CalibrationParams(l_rad=l_rad)
+    params = CalibrationParams(l_rad=-math.pi / 2 + 1e-3)
+    assert (np.diff(params.cm_table[:params.raw_valid_max + 1]) > 0).all()
+
+
 def test_params_validation():
     with pytest.raises(DomainError):
         CalibrationParams(h_rad=0.0)

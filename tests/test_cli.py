@@ -99,7 +99,9 @@ def test_detect_rejects_unknown_config_key(tmp_path, frame_dir):
     assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("calibration", [{"h": "abc"}, {"raw_valid_max": "x"}, {"h": None}])
+@pytest.mark.parametrize(
+    "calibration", [{"h": "abc"}, {"raw_valid_max": "x"}, {"h": None}, {"l": -1.6}]
+)
 def test_detect_and_bench_reject_mistyped_calibration(tmp_path, frame_dir, capsys, calibration):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"calibration": calibration}))
@@ -191,7 +193,22 @@ def test_convert_unknown_target(tmp_path, scene):
     assert main(["convert", "--input", str(src), "--output", str(tmp_path / "x.png")]) == 2
 
 
-def test_bad_raw_dims_argument(tmp_path):
+def test_bad_raw_dims_argument(tmp_path, capsys):
     src = tmp_path / "frame.r16"
     src.write_bytes(b"\x00\x00")
-    assert main(["detect", "--input", str(src), "--raw-dims", "banana"]) == 2
+    dst = tmp_path / "frame.pgm"
+    for dims in (["--raw-dims", "banana"], ["--raw-dims", "0x240"], ["--raw-dims", "320x0"],
+                 ["--raw-dims=-3x4"]):
+        assert main(["detect", "--input", str(src), *dims]) == 2
+        assert main(["convert", "--input", str(src), *dims, "--output", str(dst)]) == 2
+    assert not dst.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_workers_option_and_config_key_are_rejected(tmp_path, frame_dir, capsys):
+    assert main(["detect", "--input", str(frame_dir), "--workers", "2"]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"workers": 2}))
+    assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
+    assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,42 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError
 
-from reference import edt_bruteforce, random_mask, sq_edt_bruteforce, sq_edt_envelope
-
-# Random masks of mixed size and density; density 0 and 1 give all-False and all-True.
-masks = st.builds(
-    lambda h, w, density, seed: np.random.default_rng(seed).random((h, w)) < density,
-    st.integers(1, 40),
-    st.integers(1, 40),
-    st.floats(0, 1),
-    st.integers(0, 2**32 - 1),
+from reference import (
+    deterministic,
+    edge_masks,
+    edt_bruteforce,
+    masks,
+    random_mask,
+    sq_edt_bruteforce,
+    sq_edt_envelope,
 )
-deterministic = settings(max_examples=200, derandomize=True, database=None, deadline=None)
-
-
-def edge_masks():
-    """1xN, Nx1, 1x1, all-True, all-False and border-touching masks."""
-    yield np.array([[True]])
-    yield np.array([[False]])
-    row = np.array([[False, True, False, False, False, True, False, False, False]])
-    yield row
-    yield row.T
-    yield ~row
-    yield ~row.T
-    yield np.ones((1, 9), dtype=bool)
-    yield np.zeros((9, 1), dtype=bool)
-    yield np.ones((6, 7), dtype=bool)
-    yield np.zeros((6, 7), dtype=bool)
-    for side in (np.s_[0, :], np.s_[-1, :], np.s_[:, 0], np.s_[:, -1], np.s_[0, 0], np.s_[-1, -1]):
-        mask = np.zeros((6, 7), dtype=bool)
-        mask[side] = True
-        yield mask
-        yield ~mask
-
 
 def assert_matches_oracles(mask):
     got, want = sq_edt(mask), sq_edt_bruteforce(mask)

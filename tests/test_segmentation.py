@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from handdepth.errors import DomainError, NotFoundError
 from handdepth.frame_io import DepthFrame
@@ -21,7 +22,14 @@ from handdepth.segmentation import (
 )
 from handdepth.synthetic import HandSpec, render_hand, render_scene
 
-from reference import flood_fill_components, label_rowwise, random_mask
+from reference import (
+    deterministic,
+    edge_masks,
+    flood_fill_components,
+    label_rowwise,
+    masks,
+    random_mask,
+)
 
 
 def pixel_set(blob):
@@ -249,6 +257,35 @@ def test_fill_holes():
     bay = disk.copy()
     bay[0:16, 15] = False
     assert (fill_holes(bay) == bay).all()
+
+
+def fill_holes_oracle(mask):
+    """Everything but the 4-connected background reaching (0, 0) of the padded mask."""
+    padded = np.pad(mask, 1, constant_values=False)
+    (outside,) = [c for c in flood_fill_components(~padded, connectivity=4) if (0, 0) in c]
+    filled = np.ones(padded.shape, dtype=bool)
+    for x, y in outside:
+        filled[y, x] = False
+    return filled[1:-1, 1:-1]
+
+
+def assert_fill_matches_oracle(mask):
+    got = fill_holes(mask)
+    assert got.dtype == bool and got.shape == mask.shape
+    assert (got == fill_holes_oracle(mask)).all()
+
+
+def test_fill_holes_edge_masks_match_oracle():
+    ring = np.ones((5, 5), dtype=bool)
+    ring[2, 2] = False  # a hole in a mask that covers the whole border
+    for mask in [*edge_masks(), ring, ~ring]:
+        assert_fill_matches_oracle(mask)
+
+
+@deterministic
+@given(masks)
+def test_fill_holes_random_masks_match_oracle(mask):
+    assert_fill_matches_oracle(mask)
 
 
 def float_band_mask(samples, seed_raw, band_cm, params):
