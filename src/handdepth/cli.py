@@ -120,9 +120,17 @@ def _load_scenes(path: str) -> list[Scene]:
     return [scene_from_dict(s) for s in data["scenes"]]
 
 
+def _generate_corpus(n_scenes: int, args: argparse.Namespace) -> list[Scene]:
+    if n_scenes < 1:
+        raise ConfigError(f"--generate needs N >= 1, got {n_scenes}")
+    if not 0 <= args.dropout < 1:
+        raise ConfigError(f"--dropout must lie in [0, 1), got {args.dropout}")
+    return build_corpus(n_scenes, seed=args.seed, dropout_rate=args.dropout)
+
+
 def _cmd_synth(args: argparse.Namespace) -> int:
     if args.generate is not None:
-        scenes = build_corpus(args.generate, seed=args.seed, dropout_rate=args.dropout)
+        scenes = _generate_corpus(args.generate, args)
     elif args.scenes:
         scenes = _load_scenes(args.scenes)
     else:
@@ -163,7 +171,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if args.scenes:
         scenes = _load_scenes(args.scenes)
     else:
-        scenes = build_corpus(args.generate or 200, seed=args.seed, dropout_rate=args.dropout)
+        scenes = _generate_corpus(200 if args.generate is None else args.generate, args)
     metrics = run_benchmark(scenes, config)
     text = json.dumps(metrics, indent=2) + "\n"
     if args.out:

@@ -117,8 +117,10 @@ def read_pgm(data: bytes) -> tuple[DepthFrame, int]:
             offset=len(data),
         )
     raw = np.frombuffer(data, dtype=">u2", count=count, offset=pos).astype(np.uint16)
-    clamped = int((raw > RAW_SENTINEL).sum())
-    raw = np.minimum(raw, RAW_SENTINEL)
+    over = raw > RAW_SENTINEL
+    clamped = int(np.count_nonzero(over))
+    if clamped:
+        raw[over] = RAW_SENTINEL  # raw is a fresh copy, so clamp in place
     return DepthFrame(raw.reshape(height, width)), clamped
 
 

@@ -5,10 +5,15 @@ seed pixel.  Seeds either come from an external tracker or from the
 nearest-object heuristic in find_hand_seeds (hands are assumed to be the
 closest things to the camera).
 
-Band and slab thresholds are lookups into the calibration's cm_table.
-Labelling finds all runs of a mask in one vectorised pass, merges them
-across rows with union-find, and takes component stats from the same
-runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).
+Band and slab thresholds are defined by a test on the calibration's
+cm_table.  Calibration is monotone, so the codes that pass form one
+interval of raw values, and the mask is one uint16 interval compare on
+the samples; a table whose codes are not contiguous falls back to a
+lookup.  Labelling takes all runs of a mask from its flat foreground
+indices (a run breaks at a jump or a row start), finds the runs that
+touch across rows by binary search, merges them with union-find, and
+takes component stats from the same runs (run-based labelling, He,
+Chao & Suzuki, IEEE TIP 2008).
 """
 
 from __future__ import annotations
@@ -64,14 +69,32 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, t
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask, dtype=bool)
-    h = mask.shape[0]
-    edges = np.diff(np.pad(mask.view(np.int8), ((0, 0), (1, 1))), axis=1)
-    rows, cols = np.nonzero(edges)  # each row alternates run start, run end
-    run_y, start, end = rows[0::2], cols[0::2], cols[1::2]
-    row_first = np.searchsorted(run_y, np.arange(h + 1)).tolist()
-    starts, ends = start.tolist(), end.tolist()
+    h, w = mask.shape
+    flat = np.flatnonzero(mask)
+    # new_run[i]: a run starts at flat[i], i.e. at the first pixel, after a
+    # gap, or at column 0 of a row; the extra last entry closes the last run.
+    # Marking the first pixel at or past each row start is safe: if it is
+    # not at column 0, a gap precedes it anyway.
+    new_run = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(np.diff(flat), 1, out=new_run[1:-1])
+    new_run[np.searchsorted(flat, np.arange(1, h) * w)] = True
+    first, last = np.flatnonzero(new_run[:-1]), np.flatnonzero(new_run[1:])
+    run_y, start = np.divmod(flat[first], w)
+    end = flat[last] - run_y * w + 1
+    # Run i of the row above touches run j when it ends at or past j's start
+    # and starts at or before j's end (one pixel less on each side for
+    # 4-connectivity), so the runs touching j are one index range [lo, hi).
+    # Rows sit w + 2 apart on the search keys, so no range crosses a row.
+    gap, row_key = int(connectivity == 4), run_y * (w + 2)
+    above = row_key - (w + 2)
+    lo = np.searchsorted(row_key + end, above + start + gap)
+    hi = np.searchsorted(row_key + start, above + end - gap, side="right")
+    count = np.maximum(hi - lo, 0)
+    # every touching pair (i, j): i runs through lo[j], ..., hi[j] - 1
+    pair_j = np.repeat(np.arange(count.size), count)
+    pair_i = np.arange(pair_j.size) + np.repeat(lo + count - np.cumsum(count), count)
 
-    parent = list(range(len(starts)))
+    parent = list(range(count.size))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -79,32 +102,13 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, t
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
+    for i, j in zip(pair_i.tolist(), pair_j.tolist()):
         ri, rj = find(i), find(j)
-        if ri != rj:
-            # keep the smaller (earlier, raster-order) index as root
-            if ri < rj:
-                parent[rj] = ri
-            else:
-                parent[ri] = rj
-
-    for y in range(1, h):
-        i, end_prev = row_first[y - 1], row_first[y]
-        j, end_cur = row_first[y], row_first[y + 1]
-        while i < end_prev and j < end_cur:
-            b0, b1 = starts[i], ends[i]
-            a0, a1 = starts[j], ends[j]
-            if connectivity == 8:
-                touching = a0 <= b1 and b0 <= a1
-            else:
-                touching = a0 < b1 and b0 < a1
-            if touching:
-                union(i, j)
-            # advance whichever run ends first
-            if b1 < a1:
-                i += 1
-            else:
-                j += 1
+        # keep the smaller (earlier, raster-order) index as root
+        if ri < rj:
+            parent[rj] = ri
+        elif rj < ri:
+            parent[ri] = rj
 
     # A root is its component's first run, so sorted roots number the
     # components in raster order of their first pixel.
@@ -112,7 +116,7 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, t
         np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
     )
     labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = np.repeat(component + 1, end - start)  # True pixels are the runs in order
+    labels.ravel()[flat] = np.repeat(component + 1, end - start)  # the runs in flat order
     return labels, len(roots), (run_y, start, end, component)
 
 
@@ -161,6 +165,20 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
     ]
 
 
+def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """``table[samples]`` for a boolean table over raw codes and uint16 samples.
+
+    When the True codes form one interval [lo, hi], this is a single
+    compare: uint16 subtraction wraps codes below lo around to high
+    values, so ``samples - lo <= hi - lo`` holds exactly inside it.
+    """
+    codes = np.flatnonzero(table)
+    if codes.size and codes[-1] - codes[0] + 1 == codes.size:
+        lo, hi = np.uint16(codes[0]), np.uint16(codes[-1])  # uint16 keeps the wrap
+        return samples - lo <= hi - lo
+    return table[samples]
+
+
 def depth_threshold(
     frame: DepthFrame,
     seed: HandSeed,
@@ -174,7 +192,7 @@ def depth_threshold(
         raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
     seed_cm = raw_to_cm(seed.depth_raw, params)
     in_band = np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
-    return in_band[frame.samples]
+    return _table_mask(in_band, frame.samples)
 
 
 def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
@@ -208,7 +226,7 @@ def find_hand_seeds(
         raise NotFoundError("frame has no valid depth samples")
     near_cm = raw_to_cm(near_raw, params)
     in_slab = params.cm_table <= near_cm + slab_cm  # NaN (invalid) is False
-    blobs = [b for b in connected_components(in_slab[samples]) if b.area >= min_area]
+    blobs = [b for b in connected_components(_table_mask(in_slab, samples)) if b.area >= min_area]
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: (-b.area, b.label))

@@ -381,11 +381,16 @@ def scene_from_dict(data: dict) -> Scene:
         raise ConfigError(f"frame_size must be two positive integers, got {size!r}")
     try:
         hands = tuple(hand_spec_from_dict(h) for h in data.get("hands", []))
+        if len(hands) > 2:
+            raise ConfigError(f"a scene holds at most two hands, got {len(hands)}")
+        dropout_rate = float(data.get("dropout_rate", 0.0))
+        if not 0 <= dropout_rate < 1:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         return Scene(
             hands=hands,
             frame_size=tuple(size),
             background_depth_cm=float(data.get("background_depth_cm", 200.0)),
-            dropout_rate=float(data.get("dropout_rate", 0.0)),
+            dropout_rate=dropout_rate,
             noise_seed=int(data.get("noise_seed", 0)),
         )
     except ConfigError:

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
+from handdepth import cli
 from handdepth.cli import main
 from handdepth.frame_io import read_pgm, write_pgm, write_raw
-from handdepth.synthetic import HandSpec, Scene, scene_to_dict
+from handdepth.synthetic import HandSpec, Scene, build_corpus, scene_to_dict
 
 
 @pytest.fixture()
@@ -212,3 +213,43 @@ def test_workers_option_and_config_key_are_rejected(tmp_path, frame_dir, capsys)
     assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
     assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, capsys):
+    out = tmp_path / "out"
+    for dropout in ("5", "-0.5", "1", "1.5", "nan"):
+        assert main(["synth", "--generate", "2", "--dropout", dropout, "--out-dir", str(out)]) == 2
+        assert main(["bench", "--generate", "1", "--dropout", dropout]) == 2
+    base = scene_to_dict(scene)
+    scenes_file = tmp_path / "scenes.json"
+    for entry in ({**base, "dropout_rate": 3.0}, {**base, "dropout_rate": -0.1},
+                  {**base, "dropout_rate": 1.0}, {**base, "hands": base["hands"] * 3}):
+        scenes_file.write_text(json.dumps({"scenes": [entry]}))
+        assert main(["synth", "--scenes", str(scenes_file), "--out-dir", str(out)]) == 2
+        assert main(["bench", "--scenes", str(scenes_file)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "dropout" in err and "two hands" in err and "Traceback" not in err
+
+
+def test_generate_needs_a_positive_count(tmp_path, capsys):
+    corpus = tmp_path / "corpus.json"
+    for n in ("0", "-1", "-3"):
+        assert main(["bench", "--generate", n]) == 2
+        assert main(["synth", "--generate", n, "--out-scenes", str(corpus)]) == 2
+    assert not corpus.exists()
+    err = capsys.readouterr().err
+    assert "--generate needs N >= 1" in err and "Traceback" not in err
+
+
+def test_bench_generates_200_scenes_by_default(monkeypatch):
+    sizes = []
+
+    def small_corpus(n_scenes, **kwargs):
+        sizes.append(n_scenes)
+        return build_corpus(1, **kwargs)
+
+    monkeypatch.setattr(cli, "build_corpus", small_corpus)
+    assert main(["bench"]) == 0
+    assert main(["bench", "--generate", "1"]) == 0
+    assert sizes == [200, 1]

@@ -68,6 +68,24 @@ def test_pgm_clamps_out_of_range():
     assert clamped == 1
 
 
+def pgm_65535(raw: np.ndarray) -> bytes:
+    h, w = raw.shape
+    return f"P5\n{w} {h}\n65535\n".encode() + raw.astype(">u2").tobytes()
+
+
+def test_pgm_clamp_matches_minimum_reference():
+    rng = np.random.default_rng(13)
+    low = rng.integers(0, 2048, size=(6, 9), dtype=np.uint16)
+    edges = low.copy()
+    edges[0, 0], edges[-1, -1] = 2048, 65535  # clamped at the first and last sample
+    mixed = np.where(rng.random(low.shape) < 0.5, low, rng.integers(2048, 65536, low.shape))
+    every = rng.integers(2048, 65536, size=(6, 9)).astype(np.uint16)
+    for raw in (low, edges, mixed.astype(np.uint16), every, np.full((1, 1), 2048, np.uint16)):
+        frame, clamped = read_pgm(pgm_65535(raw))
+        assert np.array_equal(frame.samples, np.minimum(raw, 2047))
+        assert clamped == int((raw > 2047).sum())
+
+
 def test_pgm_accepts_header_comments():
     frame, _ = read_pgm(b"P5 # recorder v2\n2 1 # size\n2047\n\x00\x01\x00\x02")
     assert frame.samples.tolist() == [[1, 2]]

@@ -13,6 +13,7 @@ from handdepth.calibration import (
 )
 from handdepth.segmentation import (
     HandSeed,
+    _table_mask,
     connected_components,
     depth_threshold,
     fill_holes,
@@ -113,20 +114,66 @@ def labelling_cases():
         yield random_mask(rng, shape)
 
 
+def assert_labelling_matches_oracles(mask):
+    for conn in (8, 4):
+        ref_labels, ref_stats = label_rowwise(mask, conn)
+        labels, count = label_image(mask, conn)
+        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
+        assert count == len(ref_stats)
+        blobs = connected_components(mask, conn)
+        got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
+        assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
+        assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
+        assert all(np.array_equal(b.labels, labels) for b in blobs)
+        # flood fill finds components in raster order of their first pixel
+        assert [pixel_set(b) for b in blobs] == flood_fill_components(mask, conn)
+
+
 def test_labelling_matches_rowwise_labeller_and_flood_fill():
     for mask in labelling_cases():
-        for conn in (8, 4):
-            ref_labels, ref_stats = label_rowwise(mask, conn)
-            labels, count = label_image(mask, conn)
-            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
-            assert count == len(ref_stats)
-            blobs = connected_components(mask, conn)
-            got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
-            assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
-            assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
-            assert all(np.array_equal(b.labels, labels) for b in blobs)
-            # flood fill finds components in raster order of their first pixel
-            assert [pixel_set(b) for b in blobs] == flood_fill_components(mask, conn)
+        assert_labelling_matches_oracles(mask)
+
+
+def run_finding_cases():
+    """Masks whose runs sit where the flat foreground indices are misleading."""
+    wrap = np.zeros((3, 6), dtype=bool)
+    wrap[0, 4:] = wrap[1, :2] = True  # flat indices 4..7 are consecutive across a row end
+    yield wrap
+    yield wrap[:, ::-1]
+    full_row = np.zeros((5, 7), dtype=bool)
+    full_row[2] = True
+    full_row[[1, 3], [0, 6]] = True
+    yield full_row
+    yield ~full_row
+    column = np.array([[True], [True], [False], [True], [False], [True], [True]])
+    yield column  # width 1: every row start is a row end
+    yield column.T
+    yield np.ones((4, 1), dtype=bool)
+    yield np.ones((1, 4), dtype=bool)
+    yield np.ones((5, 8), dtype=bool)
+    yield np.zeros((5, 8), dtype=bool)
+    for shape in ((0, 0), (0, 5), (5, 0)):
+        yield np.zeros(shape, dtype=bool)
+    yield from edge_masks()
+
+
+def test_run_finding_edge_masks_match_oracles():
+    for mask in run_finding_cases():
+        assert_labelling_matches_oracles(mask)
+
+
+def test_run_ending_at_the_last_column_does_not_join_the_next_row():
+    mask = np.zeros((2, 5), dtype=bool)
+    mask[0, 3:] = mask[1, :2] = True
+    labels, count = label_image(mask)
+    assert count == 2
+    assert labels.tolist() == [[0, 0, 0, 1, 1], [2, 2, 0, 0, 0]]
+
+
+@deterministic
+@given(masks)
+def test_labelling_random_masks_match_oracles(mask):
+    assert_labelling_matches_oracles(mask)
 
 
 def uniform_frame(raw: int, shape=(6, 8)) -> DepthFrame:
@@ -346,3 +393,21 @@ def test_thresholds_match_float_image_on_every_raw_value():
                     except NotFoundError:
                         got = NotFoundError
                     assert got == want
+
+
+ALL_CODES = np.arange(RAW_SENTINEL + 1, dtype=np.uint16).reshape(32, 64)
+
+
+def test_table_mask_interval_matches_lookup_on_every_code():
+    for lo, hi in ((0, 0), (0, 700), (1, 1), (3, 2046), (517, 900), (1500, 2047), (2047, 2047)):
+        table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
+        table[lo:hi + 1] = True
+        got = _table_mask(table, ALL_CODES)
+        assert got.dtype == bool and np.array_equal(got, table[ALL_CODES])
+
+
+def test_table_mask_falls_back_to_lookup_on_gaps_and_empty_tables():
+    gappy = np.zeros(RAW_SENTINEL + 1, dtype=bool)
+    gappy[[5, 6, 7, 900, 2047]] = True  # an interval compare would take 8..899 too
+    for table in (gappy, ~gappy, np.zeros(RAW_SENTINEL + 1, dtype=bool)):
+        assert np.array_equal(_table_mask(table, ALL_CODES), table[ALL_CODES])
