@@ -252,10 +252,7 @@ def main(argv: list[str] | None = None) -> int:
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except HandDepthError as exc:
+    except (HandDepthError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

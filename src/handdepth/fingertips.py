@@ -39,11 +39,11 @@ def detect_fingertips(
     Sentinel dropouts inside a mask are skipped; a mask with no usable
     sample at all contributes no tip (the finger is omitted, not fatal).
     """
-    samples = frame.samples.astype(np.int64)
+    samples = frame.samples
     usable = samples <= params.raw_valid_max
     tips = []
     for index, mask in enumerate(finger_masks):
-        if mask.shape != frame.samples.shape:
+        if mask.shape != samples.shape:
             raise ValueError("finger mask shape differs from the frame")
         if not mask.any():
             raise ValueError("finger masks must be nonempty")

@@ -106,9 +106,7 @@ def finger_masks(
         raise ValueError("palm mask must be a subset of the hand mask")
     blobs = connected_components(hand_mask & ~palm_mask)
     blobs = [b for b in blobs if b.area >= min_finger_area]
-    if len(blobs) > 5:
-        blobs.sort(key=lambda b: (-b.area, b.label))
-        blobs = blobs[:5]
+    blobs = sorted(blobs, key=lambda b: (-b.area, b.label))[:5]
     px, py = palm_center
 
     def angle(blob) -> tuple[float, int]:

@@ -5,19 +5,19 @@ depth-band threshold, blob selection, hole filling, distance transform,
 palm center and inradius, opening with an inradius-scaled disk, finger
 masks by subtraction, minimum-depth fingertips, then identity labeling
 and tracking.  The distance transform runs before palm extraction so the
-opening radius can scale with the measured inradius; the palm center is
-then re-taken as the argmax restricted to the opened palm, which keeps
-it on the palm body even for extreme poses.
+opening radius r can scale with the measured inradius.  The opening keeps
+every pixel where that map exceeds r*r and is empty if there is none, so
+the map's argmax, the palm center, lies in every non-empty opening.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Iterator
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION
-from .distance import PalmCenter, distance_transform, find_palm_center
+from .distance import distance_transform, find_palm_center
 from .errors import (
     ConfigError,
     DegenerateHandError,
@@ -25,7 +25,7 @@ from .errors import (
     EmptyResultError,
     NotFoundError,
 )
-from .fingertips import Fingertip, detect_fingertips
+from .fingertips import detect_fingertips
 from .frame_io import DepthFrame, DetectionReport
 from .morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
 from .segmentation import (
@@ -39,8 +39,6 @@ from .segmentation import (
 from .tracking import HandObservation, TrackState, label_hands, update
 
 log = logging.getLogger(__name__)
-
-_CROP_MARGIN = 2  # keeps morphology clear of the bbox edge
 
 
 @dataclass(frozen=True)
@@ -121,31 +119,20 @@ def config_to_dict(config: PipelineConfig) -> dict:
     }
 
 
-def _shift_palm(palm: PalmCenter, ox: int, oy: int) -> PalmCenter:
-    return PalmCenter(x=palm.x + ox, y=palm.y + oy, inradius_px=palm.inradius_px)
-
-
-def _shift_tip(tip: Fingertip, ox: int, oy: int) -> Fingertip:
-    return Fingertip(x=tip.x + ox, y=tip.y + oy, depth_cm=tip.depth_cm,
-                     finger_index=tip.finger_index)
-
-
 def _analyze_hand(
     frame: DepthFrame, blob: Blob, config: PipelineConfig
 ) -> HandObservation:
     """Palm center and fingertips of one segmented hand blob."""
-    min_x, min_y, max_x, max_y = blob.bbox
-    h, w = blob.labels.shape
-    y0, y1 = max(0, min_y - _CROP_MARGIN), min(h, max_y + 1 + _CROP_MARGIN)
-    x0, x1 = max(0, min_x - _CROP_MARGIN), min(w, max_x + 1 + _CROP_MARGIN)
-    hand = fill_holes(blob.labels[y0:y1, x0:x1] == blob.label)
-    crop = DepthFrame(frame.samples[y0:y1, x0:x1])
+    # The exact bbox: every per-hand stage treats pixels outside it as background.
+    x0, y0, x1, y1 = blob.bbox
+    box = slice(y0, y1 + 1), slice(x0, x1 + 1)
+    hand = fill_holes(blob.labels[box] == blob.label)
+    crop = DepthFrame(frame.samples[box])
 
     dist = distance_transform(hand)
-    seed_palm = find_palm_center(dist, hand)
-    radius = auto_radius(seed_palm.inradius_px, config.radius_factor)
+    palm = find_palm_center(dist, hand)
+    radius = auto_radius(palm.inradius_px, config.radius_factor)
     palm_mask = extract_palm(dist, radius)
-    palm = find_palm_center(dist, palm_mask)
 
     min_finger = (
         config.min_finger_area
@@ -155,8 +142,8 @@ def _analyze_hand(
     fingers = finger_masks(hand, palm_mask, min_finger, (palm.x, palm.y))
     tips = detect_fingertips(crop, fingers, config.calibration)
     return (
-        _shift_palm(palm, x0, y0),
-        [_shift_tip(t, x0, y0) for t in tips],
+        replace(palm, x=palm.x + x0, y=palm.y + y0),
+        [replace(t, x=t.x + x0, y=t.y + y0) for t in tips],
         blob,
     )
 

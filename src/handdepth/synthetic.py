@@ -386,10 +386,13 @@ def scene_from_dict(data: dict) -> Scene:
         dropout_rate = float(data.get("dropout_rate", 0.0))
         if not 0 <= dropout_rate < 1:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
+        background_depth_cm = float(data.get("background_depth_cm", 200.0))
+        if any(background_depth_cm < spec.base_depth_cm + 50 for spec in hands):
+            raise ConfigError("background_depth_cm must be at least 50 cm behind every hand")
         return Scene(
             hands=hands,
             frame_size=tuple(size),
-            background_depth_cm=float(data.get("background_depth_cm", 200.0)),
+            background_depth_cm=background_depth_cm,
             dropout_rate=dropout_rate,
             noise_seed=int(data.get("noise_seed", 0)),
         )

@@ -36,7 +36,6 @@ class HandReport:
     overlay_color: tuple[int, int, int]
     palm: PalmCenter
     fingertips: list[Fingertip]
-    blob_area: int
 
 
 @dataclass
@@ -81,32 +80,29 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
     if not hands:
         return []
     if len(hands) == 1:
-        palm, tips, blob = hands[0]
-        return [HandReport(HandId.SINGLE, WHITE, palm, tips, blob.area)]
+        palm, tips, _ = hands[0]
+        return [HandReport(HandId.SINGLE, WHITE, palm, tips)]
 
-    (palm_a, tips_a, blob_a), (palm_b, tips_b, blob_b) = hands
+    palm_a, palm_b = hands[0][0], hands[1][0]
     prior = {t.identity: t for t in state.tracks if t.identity in (HandId.RIGHT, HandId.LEFT)}
-    if prior:
-        straight = swapped = 0.0
-        if HandId.RIGHT in prior:
-            straight += _sqdist(palm_a, prior[HandId.RIGHT])
-            swapped += _sqdist(palm_b, prior[HandId.RIGHT])
-        if HandId.LEFT in prior:
-            straight += _sqdist(palm_b, prior[HandId.LEFT])
-            swapped += _sqdist(palm_a, prior[HandId.LEFT])
-        if straight < swapped:
-            right_idx, left_idx = 0, 1
-        elif swapped < straight:
-            right_idx, left_idx = 1, 0
-        else:
-            right_idx, left_idx = _x_order(palm_a, palm_b)
+    straight = swapped = 0.0  # both stay 0 without prior tracks: x-order decides
+    if HandId.RIGHT in prior:
+        straight += _sqdist(palm_a, prior[HandId.RIGHT])
+        swapped += _sqdist(palm_b, prior[HandId.RIGHT])
+    if HandId.LEFT in prior:
+        straight += _sqdist(palm_b, prior[HandId.LEFT])
+        swapped += _sqdist(palm_a, prior[HandId.LEFT])
+    if straight < swapped:
+        right_idx, left_idx = 0, 1
+    elif swapped < straight:
+        right_idx, left_idx = 1, 0
     else:
         right_idx, left_idx = _x_order(palm_a, palm_b)
 
     ordered = []
     for idx, ident in ((right_idx, HandId.RIGHT), (left_idx, HandId.LEFT)):
-        palm, tips, blob = hands[idx]
-        ordered.append(HandReport(ident, OVERLAY_COLORS[ident], palm, tips, blob.area))
+        palm, tips, _ = hands[idx]
+        ordered.append(HandReport(ident, OVERLAY_COLORS[ident], palm, tips))
     return ordered
 
 

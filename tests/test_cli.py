@@ -222,14 +222,17 @@ def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, caps
         assert main(["bench", "--generate", "1", "--dropout", dropout]) == 2
     base = scene_to_dict(scene)
     scenes_file = tmp_path / "scenes.json"
+    near_background = base["hands"][0]["base_depth_cm"] + 10
     for entry in ({**base, "dropout_rate": 3.0}, {**base, "dropout_rate": -0.1},
-                  {**base, "dropout_rate": 1.0}, {**base, "hands": base["hands"] * 3}):
+                  {**base, "dropout_rate": 1.0}, {**base, "hands": base["hands"] * 3},
+                  {**base, "background_depth_cm": near_background}):
         scenes_file.write_text(json.dumps({"scenes": [entry]}))
         assert main(["synth", "--scenes", str(scenes_file), "--out-dir", str(out)]) == 2
         assert main(["bench", "--scenes", str(scenes_file)]) == 2
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "dropout" in err and "two hands" in err and "Traceback" not in err
+    assert "dropout" in err and "two hands" in err and "50 cm behind" in err
+    assert "Traceback" not in err
 
 
 def test_generate_needs_a_positive_count(tmp_path, capsys):

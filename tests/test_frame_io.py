@@ -155,7 +155,6 @@ def hand(hand_id, color, x, y, radius, tips):
         overlay_color=color,
         palm=PalmCenter(x=x, y=y, inradius_px=radius),
         fingertips=tips,
-        blob_area=999,
     )
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
 
 from handdepth.distance import distance_transform, find_palm_center
-from handdepth.errors import EmptyResultError
+from handdepth.errors import DegenerateHandError, EmptyResultError
 from handdepth.morphology import (
     DiskElement,
     auto_radius,
@@ -15,7 +16,7 @@ from handdepth.morphology import (
 )
 from handdepth.synthetic import HandSpec, render_hand
 
-from reference import dilate_setdef, erode_setdef, random_mask
+from reference import deterministic, dilate_setdef, edge_masks, erode_setdef, masks, random_mask
 
 
 def centered_disk(radius: int, size: int) -> np.ndarray:
@@ -71,6 +72,41 @@ def test_extract_palm_is_opening_of_the_mapped_mask():
             else:
                 with pytest.raises(EmptyResultError):
                     extract_palm(dist, radius)
+
+
+def palm_centers_agree(mask: np.ndarray) -> int:
+    """Count the radius factors at which the hand's argmax lies in its opening.
+
+    Asserts that restricting the palm-center argmax to the opened palm
+    finds the same pixel and inradius as the argmax over the whole hand,
+    whenever the opening is non-empty.
+    """
+    dist = distance_transform(mask)
+    agreed = 0
+    for factor in (0.1, 0.5, 0.7, 0.9, 0.99):
+        try:
+            palm = find_palm_center(dist, mask)
+            palm_mask = extract_palm(dist, auto_radius(palm.inradius_px, factor))
+        except (DegenerateHandError, EmptyResultError):
+            continue
+        assert find_palm_center(dist, palm_mask) == palm
+        agreed += 1
+    return agreed
+
+
+@deterministic
+@given(masks)
+def test_palm_center_lies_in_the_opening_on_random_masks(mask):
+    palm_centers_agree(mask)
+
+
+def test_palm_center_lies_in_the_opening_on_edge_and_blobby_masks():
+    agreed = sum(palm_centers_agree(mask) for mask in edge_masks())
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        seeds = random_mask(rng, (30, 34)) & (rng.random((30, 34)) < 0.05)
+        agreed += palm_centers_agree(dilate(seeds, DiskElement(int(rng.integers(2, 7)))))
+    assert agreed >= 100
 
 
 def test_duality_on_padded_domain():

@@ -1,11 +1,12 @@
 import gc
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from handdepth.calibration import CalibrationParams, RAW_SENTINEL
+from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw
 from handdepth.errors import ConfigError
 from handdepth.frame_io import DepthFrame, write_report
 from handdepth.pipeline import (
@@ -207,3 +208,30 @@ def test_extract_hands_positions_are_frame_coordinates():
     assert truth.support[palm.y, palm.x]
     assert all(truth.support[t.y, t.x] for t in tips)
     assert blob.contains(palm.x, palm.y)
+
+
+def edge_cut_frames():
+    """Corpus frames cut through the palm center so the hand touches the frame edge."""
+    for scene in build_corpus(12, seed=5150):
+        frame, (truth,) = scene.render()
+        cx, cy = truth.palm_center
+        background = cm_to_raw(scene.background_depth_cm)
+        for cut in (np.s_[:, cx:], np.s_[:cy + 1, :], np.s_[:cy + 1, cx:]):
+            yield frame.samples[cut], background
+
+
+def test_hands_cut_by_the_frame_edge_match_the_padded_frame():
+    found = 0
+    for samples, background in edge_cut_frames():
+        cut = extract_hands(DepthFrame(samples), CFG)
+        found += len(cut)
+        # the left cut starts at min_x 0, the bottom cut ends at max_y h - 1
+        assert all(b.bbox[0] == 0 or b.bbox[3] == samples.shape[0] - 1 for _, _, b in cut)
+        for k in (1, 3):
+            padded = extract_hands(DepthFrame(np.pad(samples, k, constant_values=background)), CFG)
+            assert [(palm, tips) for palm, tips, _ in padded] == [
+                (replace(palm, x=palm.x + k, y=palm.y + k),
+                 [replace(t, x=t.x + k, y=t.y + k) for t in tips])
+                for palm, tips, _ in cut
+            ]
+    assert found == 36  # every cut keeps its hand

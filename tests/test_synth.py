@@ -211,10 +211,12 @@ def test_scene_json_round_trip():
 def test_scene_unknown_keys_rejected():
     with pytest.raises(ConfigError):
         scene_from_dict({"hands": [], "sensor": "imaginary"})
+    hand = scene_to_dict(Scene(hands=(basic_spec(),)))["hands"][0]
     for bad in ([], {"hands": [], "frame_size": "x"}, {"hands": [], "frame_size": [320.0, 240]},
-                {"hands": [[]]}):
+                {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
+    scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders
     with pytest.raises(ConfigError):
         hand_spec_from_dict({"palm_center": [1, 1], "palm_radius": 5,
                              "finger_count": 0, "color": "red"})

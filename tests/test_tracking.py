@@ -27,7 +27,6 @@ def test_single_hand_is_white_single():
     (report,) = label_hands([obs(40, 60)], TrackState())
     assert report.hand_id is HandId.SINGLE
     assert report.overlay_color == WHITE
-    assert report.blob_area == 500
 
 
 def test_two_hands_no_prior_by_x_order():
