@@ -10,7 +10,7 @@ quarter of the true palm radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .pipeline import PipelineConfig, extract_hands
 from .synthetic import GroundTruth, Scene
@@ -120,7 +120,7 @@ def run_benchmark(scenes: list[Scene], config: PipelineConfig) -> dict:
             bucket = bins.setdefault(_bin_label(scene.hands[0].orientation_deg), SceneScore())
             _accumulate(bucket, score)
         _accumulate(total, score)
-    doc = {
+    return {
         "scenes": len(scenes),
         "hands": total.hands,
         "fingertips": _tip_block(total),
@@ -130,17 +130,11 @@ def run_benchmark(scenes: list[Scene], config: PipelineConfig) -> dict:
             for label, s in sorted(bins.items(), key=lambda kv: int(kv[0].split("-")[0]))
         },
     }
-    return doc
 
 
 def _accumulate(into: SceneScore, part: SceneScore) -> None:
-    into.true_tips += part.true_tips
-    into.detected_tips += part.detected_tips
-    into.matched_tips += part.matched_tips
-    into.tip_errors_px.extend(part.tip_errors_px)
-    into.hands += part.hands
-    into.palm_hits += part.palm_hits
-    into.palm_error_fractions.extend(part.palm_error_fractions)
+    for f in fields(SceneScore):  # counts add, error lists concatenate
+        setattr(into, f.name, getattr(into, f.name) + getattr(part, f.name))
 
 
 def _tip_block(s: SceneScore) -> dict:

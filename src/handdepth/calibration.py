@@ -104,8 +104,11 @@ def cm_to_raw(depth_cm: float, params: CalibrationParams = DEFAULT_CALIBRATION) 
     """Inverse of raw_to_cm, rounded to the nearest raw step.
 
     Round-trips with raw_to_cm to within one raw unit.  Raises DomainError
-    for depths whose disparity would fall outside the valid domain.
+    for a non-finite depth or one whose disparity falls outside the valid
+    domain.
     """
+    if not math.isfinite(depth_cm):
+        raise DomainError(f"depth {depth_cm} cm is not finite")
     raw = round((math.atan((depth_cm + params.o_cm) / params.k_cm) - params.l_rad) / params.h_rad)
     if not 0 <= raw <= params.raw_valid_max:
         raise DomainError(

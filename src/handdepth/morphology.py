@@ -38,15 +38,11 @@ class DiskElement:
 
 def erode(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
     """Minkowski erosion: keep pixels whose whole disk neighborhood is foreground."""
-    if elem.radius == 0:
-        return mask.copy()
     return distance_transform(mask) > elem.radius * elem.radius
 
 
 def dilate(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
     """Minkowski dilation: mark pixels within the disk of any foreground pixel."""
-    if elem.radius == 0:
-        return mask.copy()
     rr = elem.radius * elem.radius
     return sq_edt(mask, limit=rr) <= rr
 

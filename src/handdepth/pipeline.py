@@ -100,23 +100,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
 
 
 def config_to_dict(config: PipelineConfig) -> dict:
-    cal = config.calibration
-    return {
-        "calibration": {
-            "h": cal.h_rad,
-            "k": cal.k_cm,
-            "l": cal.l_rad,
-            "o": cal.o_cm,
-            "raw_valid_max": cal.raw_valid_max,
-        },
-        "band_cm": config.band_cm,
-        "slab_cm": config.slab_cm,
-        "min_area": config.min_area,
-        "radius_factor": config.radius_factor,
-        "min_finger_area": config.min_finger_area,
-        "max_hands": config.max_hands,
-        "max_misses": config.max_misses,
+    doc = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
+    doc["calibration"] = {
+        key: getattr(config.calibration, attr) for key, attr in _CALIBRATION_KEYS.items()
     }
+    return doc
 
 
 def _analyze_hand(

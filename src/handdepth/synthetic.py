@@ -11,7 +11,7 @@ accuracy measurements.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -71,7 +71,7 @@ class HandSpec:
             raise ValueError("palm_radius must be >= 1 px")
         if self.tip_slope < 0:
             raise ValueError("tip_slope must be >= 0")
-        if self.base_depth_cm <= 0:
+        if not self.base_depth_cm > 0:  # also rejects NaN
             raise ValueError("base_depth_cm must be positive")
         lengths = _as_tuple(self.finger_length, self.finger_count, "finger_length")
         widths = _as_tuple(self.finger_width, self.finger_count, "finger_width")
@@ -340,18 +340,8 @@ def build_corpus(
     return scenes
 
 
-_HAND_KEYS = {
-    "palm_center",
-    "palm_radius",
-    "finger_count",
-    "finger_length",
-    "finger_width",
-    "orientation_deg",
-    "finger_spread_deg",
-    "base_depth_cm",
-    "tip_slope",
-}
-_SCENE_KEYS = {"hands", "frame_size", "background_depth_cm", "dropout_rate", "noise_seed"}
+_HAND_KEYS = {f.name for f in fields(HandSpec)}
+_SCENE_KEYS = {f.name for f in fields(Scene)}
 
 
 def hand_spec_from_dict(data: dict) -> HandSpec:
@@ -361,9 +351,6 @@ def hand_spec_from_dict(data: dict) -> HandSpec:
     try:
         kwargs = dict(data)
         kwargs["palm_center"] = tuple(kwargs["palm_center"])
-        for key in ("finger_length", "finger_width"):
-            if isinstance(kwargs.get(key), list):
-                kwargs[key] = tuple(kwargs[key])
         return HandSpec(**kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad hand spec: {exc}") from exc
@@ -387,6 +374,8 @@ def scene_from_dict(data: dict) -> Scene:
         if not 0 <= dropout_rate < 1:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
         background_depth_cm = float(data.get("background_depth_cm", 200.0))
+        if not math.isfinite(background_depth_cm):
+            raise ConfigError(f"background_depth_cm must be finite, got {background_depth_cm}")
         if any(background_depth_cm < spec.base_depth_cm + 50 for spec in hands):
             raise ConfigError("background_depth_cm must be at least 50 cm behind every hand")
         return Scene(
@@ -403,23 +392,4 @@ def scene_from_dict(data: dict) -> Scene:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "hands": [
-            {
-                "palm_center": list(spec.palm_center),
-                "palm_radius": spec.palm_radius,
-                "finger_count": spec.finger_count,
-                "finger_length": list(spec.finger_length),
-                "finger_width": list(spec.finger_width),
-                "orientation_deg": spec.orientation_deg,
-                "finger_spread_deg": spec.finger_spread_deg,
-                "base_depth_cm": spec.base_depth_cm,
-                "tip_slope": spec.tip_slope,
-            }
-            for spec in scene.hands
-        ],
-        "frame_size": list(scene.frame_size),
-        "background_depth_cm": scene.background_depth_cm,
-        "dropout_rate": scene.dropout_rate,
-        "noise_seed": scene.noise_seed,
-    }
+    return asdict(scene)

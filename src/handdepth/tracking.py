@@ -4,6 +4,12 @@ A lone hand is reported as Single and drawn white.  With two hands the
 one further right (larger palm x) becomes Right/white and the other
 Left/pink at track birth; afterwards identities follow palm-center
 continuity so that crossing hands keep their colors.
+
+label_hands emits at most one report per identity and a Single report
+starts a track only when there is none, so the tracker never holds two
+tracks of one identity, and an unnamed track only as its sole track.
+So update needs one rule: each report takes the nearest free track it
+may claim.
 """
 
 from __future__ import annotations
@@ -61,13 +67,6 @@ def _sqdist(palm: PalmCenter, track: _Track) -> float:
     return (palm.x - track.x) ** 2 + (palm.y - track.y) ** 2
 
 
-def _x_order(a: PalmCenter, b: PalmCenter) -> tuple[int, int]:
-    """Indices of (right hand, left hand) by image x; ties go to smaller y."""
-    if (a.x, -a.y) > (b.x, -b.y):
-        return 0, 1
-    return 1, 0
-
-
 def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandReport]:
     """Assign Single/Right/Left identities and overlay colors.
 
@@ -96,8 +95,10 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
         right_idx, left_idx = 0, 1
     elif swapped < straight:
         right_idx, left_idx = 1, 0
+    elif (palm_a.x, -palm_a.y) > (palm_b.x, -palm_b.y):  # by image x, then smaller y
+        right_idx, left_idx = 0, 1
     else:
-        right_idx, left_idx = _x_order(palm_a, palm_b)
+        right_idx, left_idx = 1, 0
 
     ordered = []
     for idx, ident in ((right_idx, HandId.RIGHT), (left_idx, HandId.LEFT)):
@@ -107,48 +108,33 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
 
 
 def update(state: TrackState, reports: list[HandReport]) -> TrackState:
-    """Refresh tracks from this frame's reports; stale tracks age out.
+    """Refresh tracks from label_hands' reports for this frame.
 
-    Matched tracks reset their miss count; unmatched ones accumulate
-    misses and drop once max_misses consecutive frames went by without
-    a sighting.
+    Each report takes the nearest free track it may claim, ties to the
+    lower index: Right and Left claim their own identity or an unnamed
+    track (by the module invariant never both kinds at once), Single any
+    track.  A claimed unnamed track takes the report's identity; with no
+    claim the report starts a track.  Unmatched tracks gain a miss and
+    drop after max_misses consecutive frames without a sighting.
     """
     matched: set[int] = set()
     for report in reports:
-        track = None
-        if report.hand_id in (HandId.RIGHT, HandId.LEFT):
-            for i, t in enumerate(state.tracks):
-                if i not in matched and t.identity == report.hand_id:
-                    track = i
-                    break
-            if track is None:  # adopt the nearest unlabeled track, if any
-                candidates = [
-                    (_sqdist(report.palm, t), i)
-                    for i, t in enumerate(state.tracks)
-                    if i not in matched and t.identity is None
-                ]
-                if candidates:
-                    track = min(candidates)[1]
-                    state.tracks[track].identity = report.hand_id
+        identity = None if report.hand_id is HandId.SINGLE else report.hand_id
+        candidates = [
+            (_sqdist(report.palm, t), i)
+            for i, t in enumerate(state.tracks)
+            if i not in matched and (identity is None or t.identity in (identity, None))
+        ]
+        if candidates:
+            index = min(candidates)[1]
+            t = state.tracks[index]
+            if t.identity is None:
+                t.identity = identity
+            t.x, t.y, t.misses = report.palm.x, report.palm.y, 0
         else:
-            candidates = [
-                (_sqdist(report.palm, t), i)
-                for i, t in enumerate(state.tracks)
-                if i not in matched
-            ]
-            if candidates:
-                track = min(candidates)[1]
-        if track is None:
-            identity = report.hand_id if report.hand_id is not HandId.SINGLE else None
-            state.tracks.append(
-                _Track(identity=identity, x=report.palm.x, y=report.palm.y)
-            )
-            matched.add(len(state.tracks) - 1)
-        else:
-            t = state.tracks[track]
-            t.x, t.y = report.palm.x, report.palm.y
-            t.misses = 0
-            matched.add(track)
+            index = len(state.tracks)
+            state.tracks.append(_Track(identity, report.palm.x, report.palm.y))
+        matched.add(index)
 
     survivors = []
     for i, t in enumerate(state.tracks):

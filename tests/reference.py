@@ -13,6 +13,8 @@ from collections import deque
 import numpy as np
 from hypothesis import settings, strategies as st
 
+from handdepth.tracking import HandId, _Track
+
 
 def edt_bruteforce(mask: np.ndarray) -> np.ndarray:
     """Squared distance to the nearest background pixel, O(n^2 k).
@@ -224,6 +226,58 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
         (area, (x0, y0, x1, y1), (sx / area, sy / area))
         for area, x0, y0, x1, y1, sx, sy in stats
     ]
+
+
+def update_three_rules(state, reports):
+    """The tracker update that handdepth.tracking.update replaced, kept as its oracle.
+
+    Right and Left reports take the first free track of their identity,
+    else adopt the nearest free unlabeled track; Single reports take the
+    nearest free track of any identity.
+    """
+    matched: set[int] = set()
+    for report in reports:
+        track = None
+        if report.hand_id in (HandId.RIGHT, HandId.LEFT):
+            for i, t in enumerate(state.tracks):
+                if i not in matched and t.identity == report.hand_id:
+                    track = i
+                    break
+            if track is None:
+                candidates = [
+                    ((report.palm.x - t.x) ** 2 + (report.palm.y - t.y) ** 2, i)
+                    for i, t in enumerate(state.tracks)
+                    if i not in matched and t.identity is None
+                ]
+                if candidates:
+                    track = min(candidates)[1]
+                    state.tracks[track].identity = report.hand_id
+        else:
+            candidates = [
+                ((report.palm.x - t.x) ** 2 + (report.palm.y - t.y) ** 2, i)
+                for i, t in enumerate(state.tracks)
+                if i not in matched
+            ]
+            if candidates:
+                track = min(candidates)[1]
+        if track is None:
+            identity = report.hand_id if report.hand_id is not HandId.SINGLE else None
+            state.tracks.append(_Track(identity=identity, x=report.palm.x, y=report.palm.y))
+            matched.add(len(state.tracks) - 1)
+        else:
+            t = state.tracks[track]
+            t.x, t.y = report.palm.x, report.palm.y
+            t.misses = 0
+            matched.add(track)
+
+    survivors = []
+    for i, t in enumerate(state.tracks):
+        if i not in matched:
+            t.misses += 1
+        if t.misses < state.max_misses:
+            survivors.append(t)
+    state.tracks = survivors
+    return state
 
 
 def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int) -> tuple[int, int]:

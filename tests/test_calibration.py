@@ -59,6 +59,8 @@ def test_depth_beyond_pole_rejected():
         cm_to_raw(10_000.0)
     with pytest.raises(DomainError):
         cm_to_raw(-30.0)
+    with pytest.raises(DomainError):
+        cm_to_raw(float("nan"))
 
 
 def test_valid_domain_default_constants():

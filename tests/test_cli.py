@@ -225,7 +225,9 @@ def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, caps
     near_background = base["hands"][0]["base_depth_cm"] + 10
     for entry in ({**base, "dropout_rate": 3.0}, {**base, "dropout_rate": -0.1},
                   {**base, "dropout_rate": 1.0}, {**base, "hands": base["hands"] * 3},
-                  {**base, "background_depth_cm": near_background}):
+                  {**base, "background_depth_cm": near_background},
+                  {**base, "background_depth_cm": float("nan")},
+                  {**base, "hands": [{**base["hands"][0], "base_depth_cm": float("nan")}]}):
         scenes_file.write_text(json.dumps({"scenes": [entry]}))
         assert main(["synth", "--scenes", str(scenes_file), "--out-dir", str(out)]) == 2
         assert main(["bench", "--scenes", str(scenes_file)]) == 2

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -159,6 +160,11 @@ def test_config_round_trip():
         max_misses=3,
     )
     assert config_from_dict(config_to_dict(config)) == config
+    assert json.dumps(config_to_dict(PipelineConfig())) == (
+        '{"calibration": {"h": 0.00035, "k": 12.36, "l": 1.18, "o": 3.7, "raw_valid_max": 1100}, '
+        '"band_cm": 15.0, "slab_cm": 20.0, "min_area": 100, "radius_factor": 0.7, '
+        '"min_finger_area": null, "max_hands": 2, "max_misses": 5}'
+    )
 
 
 def test_config_round_trip_preserves_behavior():

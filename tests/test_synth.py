@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -206,6 +208,10 @@ def test_scene_json_round_trip():
     scene = Scene(hands=(basic_spec(),), frame_size=(320, 240),
                   background_depth_cm=180.5, dropout_rate=0.02, noise_seed=42)
     assert scene_from_dict(scene_to_dict(scene)) == scene
+    # the bytes `synth --generate 3 --seed 7 --out-scenes` writes
+    doc = json.dumps({"scenes": [scene_to_dict(s) for s in build_corpus(3, seed=7)]}, indent=2)
+    digest = hashlib.sha256((doc + "\n").encode()).hexdigest()
+    assert digest == "aae50f9724ca7144d29ead370c3d4d2bfbf1abb709071a196127caf21f908101"
 
 
 def test_scene_unknown_keys_rejected():
@@ -213,7 +219,10 @@ def test_scene_unknown_keys_rejected():
         scene_from_dict({"hands": [], "sensor": "imaginary"})
     hand = scene_to_dict(Scene(hands=(basic_spec(),)))["hands"][0]
     for bad in ([], {"hands": [], "frame_size": "x"}, {"hands": [], "frame_size": [320.0, 240]},
-                {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5}):
+                {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5},
+                {"hands": [hand], "background_depth_cm": float("nan")},
+                {"hands": [hand], "background_depth_cm": float("inf")},
+                {"hands": [{**hand, "base_depth_cm": float("nan")}]}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
     scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from handdepth.distance import PalmCenter
 from handdepth.segmentation import Blob
@@ -11,6 +12,8 @@ from handdepth.tracking import (
     label_hands,
     update,
 )
+
+from reference import deterministic, update_three_rules
 
 
 def obs(x, y, area=500):
@@ -135,3 +138,25 @@ def test_label_hands_deterministic():
         return out
 
     assert run() == run()
+
+
+palm_sequences = st.lists(
+    st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=2), max_size=25
+)
+
+
+@deterministic
+@given(palm_sequences, st.integers(1, 6))
+def test_one_matching_rule_equals_the_three_rule_update(frames, max_misses):
+    new, old = TrackState(max_misses=max_misses), TrackState(max_misses=max_misses)
+    for palms in frames:
+        hands = [obs(x, y) for x, y in palms]
+        reports = label_hands(hands, new)
+        assert reports == label_hands(hands, old)
+        update(new, reports)
+        update_three_rules(old, reports)
+        tracks = [(t.identity, t.x, t.y, t.misses) for t in new.tracks]
+        assert tracks == [(t.identity, t.x, t.y, t.misses) for t in old.tracks]
+        identities = [t.identity for t in new.tracks]
+        assert len(set(identities)) == len(identities)  # at most one track per identity
+        assert None not in identities or len(identities) == 1  # unnamed only when alone
