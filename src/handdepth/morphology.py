@@ -22,7 +22,7 @@ import numpy as np
 
 from .distance import distance_transform, sq_edt
 from .errors import EmptyResultError
-from .segmentation import connected_components
+from .segmentation import Blob, connected_components
 
 
 @dataclass(frozen=True)
@@ -90,24 +90,19 @@ def finger_masks(
     palm_mask: np.ndarray,
     min_finger_area: int,
     palm_center: tuple[float, float],
-) -> list[np.ndarray]:
-    """Connected remnants of hand minus palm, filtered and ordered.
+) -> list[Blob]:
+    """Connected remnants of hand minus palm as Blobs, filtered and ordered.
 
     Components smaller than ``min_finger_area`` are discarded (they are
     usually 1-2 px slivers where the opening undercut the palm rim); at
     most the five largest survive, ordered by the angle of their centroid
-    around the palm center.  An empty list is a valid outcome (a fist).
+    around the palm center.  Each finger is its bbox and bbox-local mask
+    within the hand's array.  An empty list is a valid outcome (a fist).
     """
     if (palm_mask & ~hand_mask).any():
         raise ValueError("palm mask must be a subset of the hand mask")
-    blobs = connected_components(hand_mask & ~palm_mask)
-    blobs = [b for b in blobs if b.area >= min_finger_area]
-    blobs = sorted(blobs, key=lambda b: (-b.area, b.label))[:5]
+    blobs = [b for b in connected_components(hand_mask & ~palm_mask) if b.area >= min_finger_area]
+    largest = sorted(blobs, key=lambda b: (-b.area, b.label))[:5]
     px, py = palm_center
-
-    def angle(blob) -> tuple[float, int]:
-        cx, cy = blob.centroid
-        return math.atan2(cy - py, cx - px), blob.label
-
-    blobs.sort(key=angle)
-    return [b.mask for b in blobs]
+    largest.sort(key=lambda b: (math.atan2(b.centroid[1] - py, b.centroid[0] - px), b.label))
+    return largest

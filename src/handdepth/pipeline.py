@@ -107,26 +107,21 @@ def config_to_dict(config: PipelineConfig) -> dict:
     return doc
 
 
-def _analyze_hand(
-    frame: DepthFrame, blob: Blob, config: PipelineConfig
-) -> HandObservation:
+def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> HandObservation:
     """Palm center and fingertips of one segmented hand blob."""
     # The exact bbox: every per-hand stage treats pixels outside it as background.
-    x0, y0, x1, y1 = blob.bbox
-    box = slice(y0, y1 + 1), slice(x0, x1 + 1)
-    hand = fill_holes(blob.labels[box] == blob.label)
-    crop = DepthFrame(frame.samples[box])
+    x0, y0 = blob.bbox[:2]
+    hand = fill_holes(blob.mask)
+    crop = DepthFrame(frame.samples[blob.box])
 
     dist = distance_transform(hand)
     palm = find_palm_center(dist, hand)
     radius = auto_radius(palm.inradius_px, config.radius_factor)
     palm_mask = extract_palm(dist, radius)
 
-    min_finger = (
-        config.min_finger_area
-        if config.min_finger_area is not None
-        else default_min_finger_area(int(hand.sum()))
-    )
+    min_finger = config.min_finger_area
+    if min_finger is None:
+        min_finger = default_min_finger_area(int(hand.sum()))
     fingers = finger_masks(hand, palm_mask, min_finger, (palm.x, palm.y))
     tips = detect_fingertips(crop, fingers, config.calibration)
     return (

@@ -13,7 +13,9 @@ lookup.  Labelling takes all runs of a mask from its flat foreground
 indices (a run breaks at a jump or a row start), finds the runs that
 touch across rows by binary search, merges them with union-find, and
 takes component stats from the same runs (run-based labelling, He,
-Chao & Suzuki, IEEE TIP 2008).
+Chao & Suzuki, IEEE TIP 2008).  Each component is its bbox and a
+boolean mask of the bbox's shape, painted from its own runs; no
+frame-sized label image is built for it.
 """
 
 from __future__ import annotations
@@ -40,31 +42,43 @@ class HandSeed:
 class Blob:
     """One maximal connected foreground component.
 
-    Holds a reference to the shared label image instead of its own mask,
-    so frames with many components stay cheap; ``mask`` materializes a
-    boolean view on demand.
+    ``mask`` has the bbox's shape and marks the component's pixels in
+    it; ``box`` places it in the labelled array.  The blob holds no
+    frame-sized label image.
     """
 
     label: int
     area: int
     bbox: tuple[int, int, int, int]  # min_x, min_y, max_x, max_y (inclusive)
     centroid: tuple[float, float]  # (x, y)
-    labels: np.ndarray = field(repr=False)  # int32 label image, 0 = background
+    mask: np.ndarray = field(repr=False)  # bool, (max_y - min_y + 1, max_x - min_x + 1)
 
     @property
-    def mask(self) -> np.ndarray:
-        return self.labels == self.label
+    def box(self) -> tuple[slice, slice]:
+        """The (rows, cols) slices of the bbox."""
+        min_x, min_y, max_x, max_y = self.bbox
+        return slice(min_y, max_y + 1), slice(min_x, max_x + 1)
 
     def contains(self, x: int, y: int) -> bool:
-        h, w = self.labels.shape
-        return 0 <= x < w and 0 <= y < h and int(self.labels[y, x]) == self.label
+        min_x, min_y, max_x, max_y = self.bbox
+        return min_x <= x <= max_x and min_y <= y <= max_y and bool(self.mask[y - min_y, x - min_x])
+
+    def lowest(self, values: np.ndarray) -> tuple[int, int, int]:
+        """``(x, y, value)`` of the least of ``values`` over the blob's own pixels.
+
+        ``values`` is indexed like the labelled array; ties go to the first in raster order.
+        """
+        vals = values[self.box][self.mask]
+        i = int(np.argmin(vals))
+        dy, dx = divmod(int(np.flatnonzero(self.mask)[i]), self.mask.shape[1])
+        return self.bbox[0] + dx, self.bbox[1] + dy, vals[i].item()
 
 
-def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, tuple]:
-    """Label image, component count and the runs as ``(row, start, end, component)``.
+def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """First run of each component, flat foreground indices and ``(row, start, end, component)``.
 
     Every maximal run of True is a half-open [start, end) span, listed in
-    raster order with its 0-based component index.
+    raster order (as are the flat indices) with its 0-based component index.
     """
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
@@ -115,9 +129,7 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int, t
     roots, component = np.unique(
         np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
     )
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    labels.ravel()[flat] = np.repeat(component + 1, end - start)  # the runs in flat order
-    return labels, len(roots), (run_y, start, end, component)
+    return roots, flat, (run_y, start, end, component)
 
 
 def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
@@ -128,40 +140,50 @@ def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, in
     and are assigned in raster order of each component's first pixel,
     which makes the result deterministic.
     """
-    labels, count, _ = _label_runs(mask, connectivity)
-    return labels, count
+    roots, flat, (_, start, end, component) = _label_runs(mask, connectivity)
+    labels = np.zeros(np.shape(mask), dtype=np.int32)
+    labels.ravel()[flat] = np.repeat(component + 1, end - start)  # the runs in flat order
+    return labels, len(roots)
 
 
 def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
     """Maximal connected components of the foreground as Blob records.
 
-    Stats come from the labelled runs, never from a rescan of the labels.
+    Stats come from the labelled runs, never from a rescan of the mask.
+    Every blob's bbox mask is a view into one buffer that holds them all
+    back to back, painted in one scatter of the foreground pixels.
     """
-    labels, count, (run_y, start, end, component) = _label_runs(mask, connectivity)
-    length = end - start
+    roots, flat, (run_y, start, end, component) = _label_runs(mask, connectivity)
+    count, length = len(roots), end - start
 
     def total(weights: np.ndarray) -> list[int]:
         # float64 sums of integers stay exact far beyond any frame's totals (2**53)
         return np.bincount(component, weights=weights, minlength=count).astype(np.int64).tolist()
 
-    def extreme(reduce: np.ufunc, values: np.ndarray, init: int) -> list[int]:
+    def extreme(reduce: np.ufunc, values: np.ndarray, init: int) -> np.ndarray:
         out = np.full(count, init)
         reduce.at(out, component, values)
-        return out.tolist()
+        return out
 
-    h, w = labels.shape
+    w = np.shape(mask)[1]
     area = total(length)
     sum_x = total(length * (start + end - 1) // 2)
     sum_y = total(length * run_y)
-    bounds = zip(
-        extreme(np.minimum, start, w),
-        extreme(np.minimum, run_y, h),
-        extreme(np.maximum, end - 1, -1),
-        extreme(np.maximum, run_y, -1),
-    )
-    return [
-        Blob(label=lab, area=a, bbox=bbox, centroid=(sx / a, sy / a), labels=labels)
-        for lab, a, bbox, sx, sy in zip(range(1, count + 1), area, bounds, sum_x, sum_y)
+    min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
+    max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
+    # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so its
+    # pixel at flat index y * w + x goes to that index + base[c] + y * (box_w[c] - w).
+    box_w = max_x - min_x + 1
+    off = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(box_w * (max_y - min_y + 1), out=off[1:])
+    buf = np.zeros(int(off[-1]), dtype=bool)
+    base = off[:-1] - min_y * box_w - min_x
+    buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
+    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
+    return [  # positional fields: label, area, bbox, centroid, mask
+        Blob(lab, a, (x0, y0, x1, y1), (sx / a, sy / a),
+             buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1))
+        for lab, (a, sx, sy, x0, y0, x1, y1, o) in enumerate(stats, start=1)
     ]
 
 
@@ -230,16 +252,7 @@ def find_hand_seeds(
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: (-b.area, b.label))
-    seeds = []
-    for blob in blobs[:max_hands]:
-        min_x, min_y, max_x, max_y = blob.bbox
-        box = np.s_[min_y:max_y + 1, min_x:max_x + 1]
-        vals = np.where(blob.labels[box] == blob.label, samples[box], 4096)
-        # first min in raster order of the bbox, which is the frame's raster order
-        dy, dx = divmod(int(np.argmin(vals)), vals.shape[1])
-        x, y = min_x + dx, min_y + dy
-        seeds.append(HandSeed(x=x, y=y, depth_raw=int(samples[y, x])))
-    return seeds
+    return [HandSeed(*blob.lowest(samples)) for blob in blobs[:max_hands]]
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

@@ -344,15 +344,26 @@ _HAND_KEYS = {f.name for f in fields(HandSpec)}
 _SCENE_KEYS = {f.name for f in fields(Scene)}
 
 
+def _numbers(items) -> bool:  # every item a JSON number, not a string or a boolean
+    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+
+
 def hand_spec_from_dict(data: dict) -> HandSpec:
     unknown = set(data) - _HAND_KEYS
     if unknown:
         raise ConfigError(f"unknown hand spec keys: {sorted(unknown)}")
     try:
         kwargs = dict(data)
-        kwargs["palm_center"] = tuple(kwargs["palm_center"])
+        center = kwargs.get("palm_center")
+        if not (isinstance(center, (list, tuple)) and len(center) == 2 and _numbers(center)):
+            raise ValueError(f"palm_center must be two numbers, got {center!r}")
+        for name in ("finger_length", "finger_width"):
+            value = kwargs.get(name, ())
+            if not _numbers(value if isinstance(value, (list, tuple)) else [value]):
+                raise ValueError(f"{name} must be a number or one per finger, got {value!r}")
+        kwargs["palm_center"] = tuple(center)
         return HandSpec(**kwargs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad hand spec: {exc}") from exc
 
 

@@ -288,6 +288,15 @@ def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int
     return x, y
 
 
+def placed(blob, shape: tuple[int, int]) -> np.ndarray:
+    """A blob's bbox-local mask laid into an all-False array of ``shape``."""
+    out = np.zeros(shape, dtype=bool)
+    min_x, min_y, max_x, max_y = blob.bbox
+    assert blob.mask.dtype == bool and blob.mask.shape == (max_y - min_y + 1, max_x - min_x + 1)
+    out[min_y:max_y + 1, min_x:max_x + 1] = blob.mask
+    return out
+
+
 def random_mask(rng: np.random.Generator, shape: tuple[int, int]) -> np.ndarray:
     return rng.random(shape) < rng.uniform(0.15, 0.85)
 

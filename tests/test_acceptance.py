@@ -23,6 +23,7 @@ from reference import (
     dilate_setdef,
     edt_bruteforce,
     erode_setdef,
+    placed,
     random_mask,
     rotated_position,
 )
@@ -80,13 +81,13 @@ def test_criterion_2_palm_center_accuracy(corpus):
     assert fraction >= 0.90
 
 
-def _palm_argmax_tie_set(blob):
-    """All pixels attaining the palm's distance maximum (the documented tie set)."""
+def _palm_argmax_tie_set(blob, shape):
+    """All frame pixels attaining the palm's distance maximum (the documented tie set)."""
     from handdepth.morphology import auto_radius, extract_palm
     from handdepth.segmentation import fill_holes
     from handdepth.distance import find_palm_center
 
-    hand = fill_holes(blob.mask)
+    hand = fill_holes(placed(blob, shape))
     dist = distance_transform(hand)
     seed = find_palm_center(dist, hand)
     palm_mask = extract_palm(dist, auto_radius(seed.inradius_px, CONFIG.radius_factor))
@@ -106,7 +107,7 @@ def test_criterion_3_orientation_invariance():
         base = extract_hands(frame, CONFIG)
         assert len(base) == 1
         palm0, tips0, blob0 = base[0]
-        tie_set = _palm_argmax_tie_set(blob0)
+        tie_set = _palm_argmax_tie_set(blob0, frame.samples.shape)
         assert (palm0.x, palm0.y) in tie_set
         for quarter in (1, 2, 3):
             rotated = DepthFrame(np.ascontiguousarray(np.rot90(frame.samples, quarter)))

@@ -227,7 +227,11 @@ def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, caps
                   {**base, "dropout_rate": 1.0}, {**base, "hands": base["hands"] * 3},
                   {**base, "background_depth_cm": near_background},
                   {**base, "background_depth_cm": float("nan")},
-                  {**base, "hands": [{**base["hands"][0], "base_depth_cm": float("nan")}]}):
+                  {**base, "hands": [{**base["hands"][0], "base_depth_cm": float("nan")}]},
+                  {**base, "hands": [{**base["hands"][0], "finger_count": 2,
+                                      "finger_length": "45", "finger_width": "56"}]},
+                  {**base, "hands": [{**base["hands"][0], "palm_center": "ab"}]},
+                  {**base, "hands": [{**base["hands"][0], "palm_center": [100, 100, 5]}]}):
         scenes_file.write_text(json.dumps({"scenes": [entry]}))
         assert main(["synth", "--scenes", str(scenes_file), "--out-dir", str(out)]) == 2
         assert main(["bench", "--scenes", str(scenes_file)]) == 2

@@ -7,6 +7,7 @@ from handdepth.errors import NoValidDepthError
 from handdepth.fingertips import detect_fingertips, tips_toward_camera_margin
 from handdepth.frame_io import DepthFrame
 from handdepth.morphology import extract_palm, finger_masks
+from handdepth.segmentation import connected_components
 from handdepth.synthetic import HandSpec, render_hand
 
 
@@ -15,10 +16,12 @@ def frame_of(rows) -> DepthFrame:
 
 
 def mask_at(shape, coords):
+    """The one connected component made of the given (x, y) pixels."""
     mask = np.zeros(shape, dtype=bool)
     for x, y in coords:
         mask[y, x] = True
-    return mask
+    (finger,) = connected_components(mask)
+    return finger
 
 
 def test_single_pixel_mask():
@@ -52,13 +55,22 @@ def test_all_sentinel_finger_omitted():
     assert tips[0].finger_index == 1  # index keyed to input position, not output
 
 
+def test_all_sentinel_finger_ignores_usable_pixels_in_its_bbox():
+    frame = frame_of([[RAW_SENTINEL, 600, 900], [RAW_SENTINEL, RAW_SENTINEL, 900]])
+    dead = mask_at((2, 3), [(0, 0), (0, 1), (1, 1)])  # an L whose bbox holds (1, 0)
+    live = mask_at((2, 3), [(2, 0), (2, 1)])
+    (tip,) = detect_fingertips(frame, [dead, live])
+    assert (tip.x, tip.y, tip.finger_index) == (2, 0, 1)
+    assert detect_fingertips(frame, [dead]) == []
+
+
 def test_depth_equals_frame_value_at_tip():
     rng = np.random.default_rng(31)
     samples = rng.integers(300, 1000, size=(12, 12), dtype=np.uint16)
     frame = DepthFrame(samples)
     mask = np.zeros((12, 12), dtype=bool)
     mask[4:9, 2:7] = True
-    (tip,) = detect_fingertips(frame, [mask])
+    (tip,) = detect_fingertips(frame, connected_components(mask))
     assert mask[tip.y, tip.x]
     assert tip.depth_cm == pytest.approx(raw_to_cm(int(samples[tip.y, tip.x])))
     assert int(samples[tip.y, tip.x]) == int(samples[mask].min())
@@ -93,14 +105,6 @@ def test_tip_invariant_to_outside_pixels():
     assert base == again
 
 
-def test_empty_mask_rejected():
-    frame = frame_of([[700]])
-    with pytest.raises(ValueError):
-        detect_fingertips(frame, [np.zeros((1, 1), dtype=bool)])
-    with pytest.raises(ValueError):
-        detect_fingertips(frame, [np.zeros((2, 2), dtype=bool)])
-
-
 def test_synthetic_tips_found_exactly():
     spec = HandSpec(
         palm_center=(90, 90),
@@ -116,20 +120,23 @@ def test_synthetic_tips_found_exactly():
     dist = distance_transform(truth.support)
     center = find_palm_center(dist, truth.support)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    masks = finger_masks(truth.support, palm, 12, (center.x, center.y))
-    tips = detect_fingertips(frame, masks)
+    fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    tips = detect_fingertips(frame, fingers)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)
 
 
 def test_margin_basics():
     frame = frame_of([[100, 105, 105]])
-    mask = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
-    assert tips_toward_camera_margin(frame, mask) == 5
+    finger = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
+    assert tips_toward_camera_margin(frame, finger) == 5
     flat = frame_of([[300, 300, 300]])
-    assert tips_toward_camera_margin(flat, mask) == 0
+    assert tips_toward_camera_margin(flat, finger) == 0
     dead = frame_of([[RAW_SENTINEL, RAW_SENTINEL, RAW_SENTINEL]])
     with pytest.raises(NoValidDepthError):
-        tips_toward_camera_margin(dead, mask)
+        tips_toward_camera_margin(dead, finger)
+    # only the finger's own pixels count, not the rest of its bbox
+    corner = mask_at((2, 2), [(0, 0), (1, 1)])
+    assert tips_toward_camera_margin(frame_of([[100, 1], [2, 103]]), corner) == 3
 
 
 def test_margin_on_synthetic_finger():
@@ -147,5 +154,5 @@ def test_margin_on_synthetic_finger():
     dist = distance_transform(truth.support)
     center = find_palm_center(dist, truth.support)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    (mask,) = finger_masks(truth.support, palm, 12, (center.x, center.y))
-    assert tips_toward_camera_margin(frame, mask) >= 1
+    (finger,) = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    assert tips_toward_camera_margin(frame, finger) >= 1

@@ -16,7 +16,15 @@ from handdepth.morphology import (
 )
 from handdepth.synthetic import HandSpec, render_hand
 
-from reference import deterministic, dilate_setdef, edge_masks, erode_setdef, masks, random_mask
+from reference import (
+    deterministic,
+    dilate_setdef,
+    edge_masks,
+    erode_setdef,
+    masks,
+    placed,
+    random_mask,
+)
 
 
 def centered_disk(radius: int, size: int) -> np.ndarray:
@@ -206,9 +214,9 @@ def test_finger_masks_counts():
 
 def test_finger_masks_disjoint_and_outside_palm():
     truth, palm, center = make_hand_and_palm(4, 200)
-    masks = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
     union = np.zeros_like(palm)
-    for mask in masks:
+    for mask in (placed(finger, palm.shape) for finger in fingers):
         assert not (mask & palm).any()
         assert not (mask & union).any()
         assert (mask & truth.support == mask).all()

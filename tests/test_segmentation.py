@@ -29,17 +29,18 @@ from reference import (
     flood_fill_components,
     label_rowwise,
     masks,
+    placed,
     random_mask,
 )
 
 
-def pixel_set(blob):
-    ys, xs = np.nonzero(blob.mask)
+def pixel_set(blob, shape):
+    ys, xs = np.nonzero(placed(blob, shape))
     return frozenset((int(x), int(y)) for x, y in zip(xs, ys))
 
 
-def as_sets(blobs):
-    return {pixel_set(b) for b in blobs}
+def as_sets(blobs, shape):
+    return {pixel_set(b, shape) for b in blobs}
 
 
 def test_empty_mask_has_no_components():
@@ -56,7 +57,7 @@ def test_diagonal_pixels_connectivity():
 def test_components_match_flood_fill_exhaustive_3x3():
     for bits in range(512):
         mask = np.array([(bits >> i) & 1 for i in range(9)], dtype=bool).reshape(3, 3)
-        assert as_sets(connected_components(mask)) == set(flood_fill_components(mask))
+        assert as_sets(connected_components(mask), mask.shape) == set(flood_fill_components(mask))
 
 
 def test_components_match_flood_fill_random():
@@ -64,7 +65,7 @@ def test_components_match_flood_fill_random():
     for _ in range(150):
         mask = random_mask(rng, (16, 16))
         for conn in (8, 4):
-            got = as_sets(connected_components(mask, connectivity=conn))
+            got = as_sets(connected_components(mask, connectivity=conn), mask.shape)
             assert got == set(flood_fill_components(mask, connectivity=conn))
 
 
@@ -74,10 +75,11 @@ def test_components_partition_and_stats():
     blobs = connected_components(mask)
     union = np.zeros_like(mask)
     for blob in blobs:
-        assert blob.area == int(blob.mask.sum())
-        assert not (union & blob.mask).any()
-        union |= blob.mask
-        ys, xs = np.nonzero(blob.mask)
+        own = placed(blob, mask.shape)
+        assert blob.area == int(own.sum())
+        assert not (union & own).any()
+        union |= own
+        ys, xs = np.nonzero(own)
         assert blob.bbox == (xs.min(), ys.min(), xs.max(), ys.max())
         assert blob.centroid[0] == pytest.approx(xs.mean())
         assert blob.centroid[1] == pytest.approx(ys.mean())
@@ -88,7 +90,7 @@ def test_labels_follow_raster_order_of_first_pixels():
     rng = np.random.default_rng(57)
     mask = random_mask(rng, (18, 18))
     blobs = connected_components(mask)
-    firsts = [min((y, x) for x, y in pixel_set(blob)) for blob in blobs]
+    firsts = [min((y, x) for x, y in pixel_set(blob, mask.shape)) for blob in blobs]
     assert firsts == sorted(firsts)
     assert [blob.label for blob in blobs] == list(range(1, len(blobs) + 1))
 
@@ -124,9 +126,10 @@ def assert_labelling_matches_oracles(mask):
         got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
         assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
         assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
-        assert all(np.array_equal(b.labels, labels) for b in blobs)
+        # each bbox mask, laid at its bbox, is exactly the component's pixels
+        assert all(np.array_equal(placed(b, mask.shape), labels == b.label) for b in blobs)
         # flood fill finds components in raster order of their first pixel
-        assert [pixel_set(b) for b in blobs] == flood_fill_components(mask, conn)
+        assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask, conn)
 
 
 def test_labelling_matches_rowwise_labeller_and_flood_fill():
@@ -240,6 +243,39 @@ def test_select_hand_blob():
     assert select_hand_blob(blobs, HandSeed(7, 5, 700)).label == 2
     with pytest.raises(NotFoundError):
         select_hand_blob(blobs, HandSeed(5, 0, 700))
+
+
+def ring_around_a_dot():
+    """A square ring with one pixel in its hole, two cells clear of the ring."""
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[1:8, 1:8] = True
+    mask[2:7, 2:7] = False
+    mask[4, 4] = True
+    return mask
+
+
+def test_ring_does_not_contain_its_hole():
+    mask = ring_around_a_dot()
+    ring, dot = connected_components(mask)
+    assert ring.bbox == (1, 1, 7, 7) and dot.bbox == (4, 4, 4, 4)
+    for y in range(2, 7):
+        for x in range(2, 7):  # inside the ring's bbox, off the ring
+            assert not ring.contains(x, y)
+            assert dot.contains(x, y) == ((x, y) == (4, 4))
+    assert ring.contains(1, 1) and ring.contains(7, 4)
+    assert not ring.contains(0, 0) and not ring.contains(8, 4) and not ring.contains(-1, 1)
+    assert select_hand_blob([ring, dot], HandSeed(4, 4, 700)) is dot
+    with pytest.raises(NotFoundError):
+        select_hand_blob([ring, dot], HandSeed(3, 4, 700))
+
+
+def test_lowest_ranks_only_the_blobs_own_pixels():
+    mask = ring_around_a_dot()
+    ring, dot = connected_components(mask)
+    values = np.where(mask, np.iinfo(np.uint16).max, 0).astype(np.uint16)
+    values[7, 2] = values[1, 6] = 65534  # the ring's minimum, twice
+    assert ring.lowest(values) == (6, 1, 65534)  # raster-first of the tie
+    assert dot.lowest(values) == (4, 4, 65535)  # every other pixel of the frame is lower
 
 
 def test_find_seeds_empty_scene():

@@ -222,7 +222,15 @@ def test_scene_unknown_keys_rejected():
                 {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5},
                 {"hands": [hand], "background_depth_cm": float("nan")},
                 {"hands": [hand], "background_depth_cm": float("inf")},
-                {"hands": [{**hand, "base_depth_cm": float("nan")}]}):
+                {"hands": [{**hand, "base_depth_cm": float("nan")}]},
+                {"hands": [{**hand, "finger_count": 2,
+                            "finger_length": "45", "finger_width": "56"}]},
+                {"hands": [{**hand, "finger_length": [36, 36, "36", 36, 36]}]},
+                {"hands": [{**hand, "finger_count": 1, "finger_length": 30, "finger_width": "5"}]},
+                {"hands": [{**hand, "palm_center": "ab"}]},
+                {"hands": [{**hand, "palm_center": [100, 100, 5]}]},
+                {"hands": [{**hand, "palm_center": [100, "100"]}]},
+                {"hands": [{k: v for k, v in hand.items() if k != "palm_center"}]}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
     scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders

@@ -17,8 +17,8 @@ from reference import deterministic, update_three_rules
 
 
 def obs(x, y, area=500):
-    labels = np.zeros((1, 1), dtype=np.int32)
-    blob = Blob(label=1, area=area, bbox=(0, 0, 0, 0), centroid=(0.0, 0.0), labels=labels)
+    blob = Blob(label=1, area=area, bbox=(0, 0, 0, 0), centroid=(0.0, 0.0),
+                mask=np.ones((1, 1), dtype=bool))
     return PalmCenter(x=x, y=y, inradius_px=10.0), [], blob
 
 
