@@ -58,6 +58,7 @@ from .segmentation import (
     depth_threshold,
     fill_holes,
     find_hand_seeds,
+    segment_hand,
     select_hand_blob,
 )
 from .synthetic import (

@@ -15,7 +15,6 @@ import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
 from .errors import NoValidDepthError
-from .frame_io import DepthFrame
 from .segmentation import Blob
 
 
@@ -28,11 +27,14 @@ class Fingertip:
 
 
 def detect_fingertips(
-    frame: DepthFrame,
+    samples: np.ndarray,
     fingers: list[Blob],
     params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> list[Fingertip]:
     """One fingertip per finger, indexed by position in the input list.
+
+    ``samples`` holds the raw depths of the array the fingers were
+    labelled in (a hand's crop of a DepthFrame's samples).
 
     Each tip is the minimum within its finger's bbox, over the finger's
     pixels; ties on the minimum resolve to the smallest y, then smallest x.
@@ -44,7 +46,7 @@ def detect_fingertips(
         # Unusable samples are exactly the codes above raw_valid_max, so the
         # raw minimum is usable whenever any sample of the finger is, and
         # every pixel tied at it is usable too.
-        x, y, lowest = finger.lowest(frame.samples)
+        x, y, lowest = finger.lowest(samples)
         if lowest > params.raw_valid_max:
             continue
         tips.append(Fingertip(x=x, y=y, depth_cm=raw_to_cm(lowest, params), finger_index=index))
@@ -52,7 +54,7 @@ def detect_fingertips(
 
 
 def tips_toward_camera_margin(
-    frame: DepthFrame,
+    samples: np.ndarray,
     finger: Blob,
     params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> int:
@@ -61,7 +63,7 @@ def tips_toward_camera_margin(
     Zero flags an ambiguous minimum (a flat or fully bent finger whose
     tip cannot be trusted); diagnostics use it to explain misses.
     """
-    vals = frame.samples[finger.box][finger.mask]
+    vals = samples[finger.box][finger.mask]
     distinct = np.unique(vals[vals <= params.raw_valid_max])
     if distinct.size == 0:
         raise NoValidDepthError("finger has no usable depth samples")

@@ -11,6 +11,7 @@ Out-of-frame pixels count as background.
 
 One distance map per hand gives the palm inradius, the erosion (its
 threshold at r*r in extract_palm) and the palm-center argmax.
+extract_palm dilates only the eroded core's bbox grown by r.
 """
 
 from __future__ import annotations
@@ -61,9 +62,16 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     """
     if radius < 1:
         raise ValueError("palm extraction radius must be >= 1")
-    opened = dilate(hand_dist > radius * radius, DiskElement(radius))
-    if not opened.any():
+    core = hand_dist > radius * radius
+    rows, cols = np.flatnonzero(core.any(axis=1)), np.flatnonzero(core.any(axis=0))
+    if rows.size == 0:
         raise EmptyResultError(f"opening by radius {radius} left no palm")
+    # A pixel more than r outside the core's bbox is more than r from the
+    # core, so the dilation runs on that bbox grown by r (clipped).
+    window = (slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
+              slice(max(cols[0] - radius, 0), cols[-1] + radius + 1))
+    opened = np.zeros_like(core)
+    opened[window] = dilate(core[window], DiskElement(radius))
     return opened
 
 

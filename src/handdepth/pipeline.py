@@ -1,19 +1,22 @@
 """End-to-end detection: frames in, labeled hand reports out.
 
 Per frame and per hand the stages run in a fixed order: seed finding,
-depth-band threshold, blob selection, hole filling, distance transform,
-palm center and inradius, opening with an inradius-scaled disk, finger
-masks by subtraction, minimum-depth fingertips, then identity labeling
-and tracking.  The distance transform runs before palm extraction so the
-opening radius r can scale with the measured inradius.  The opening keeps
-every pixel where that map exceeds r*r and is empty if there is none, so
-the map's argmax, the palm center, lies in every non-empty opening.
+the seed's depth-band blob (labelled inside its slab blob where that is
+exact), hole filling, distance transform, palm center and inradius,
+opening with an inradius-scaled disk, finger masks by subtraction,
+minimum-depth fingertips, then identity labeling and tracking.  The
+distance transform runs before palm extraction so the opening radius r
+can scale with the measured inradius.  The opening keeps every pixel
+where that map exceeds r*r and is empty if there is none, so the map's
+argmax, the palm center, lies in every non-empty opening.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields, replace
+from numbers import Integral, Real
 from typing import Iterable, Iterator
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION
@@ -28,14 +31,7 @@ from .errors import (
 from .fingertips import detect_fingertips
 from .frame_io import DepthFrame, DetectionReport
 from .morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
-from .segmentation import (
-    Blob,
-    connected_components,
-    depth_threshold,
-    fill_holes,
-    find_hand_seeds,
-    select_hand_blob,
-)
+from .segmentation import Blob, fill_holes, find_hand_seeds, segment_hand
 from .tracking import HandObservation, TrackState, label_hands, update
 
 log = logging.getLogger(__name__)
@@ -55,6 +51,17 @@ class PipelineConfig:
     max_misses: int = 5
 
     def __post_init__(self) -> None:
+        # NaN and inf pass the positivity checks below, and bool is an int subclass
+        for name in ("band_cm", "slab_cm", "radius_factor"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, not {value!r}")
+        for name in ("min_area", "max_hands", "max_misses", "min_finger_area"):
+            value = getattr(self, name)
+            if name == "min_finger_area" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.band_cm <= 0 or self.slab_cm <= 0:
             raise ConfigError("band_cm and slab_cm must be positive")
         if self.min_area < 1:
@@ -112,7 +119,6 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     # The exact bbox: every per-hand stage treats pixels outside it as background.
     x0, y0 = blob.bbox[:2]
     hand = fill_holes(blob.mask)
-    crop = DepthFrame(frame.samples[blob.box])
 
     dist = distance_transform(hand)
     palm = find_palm_center(dist, hand)
@@ -123,7 +129,7 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     if min_finger is None:
         min_finger = default_min_finger_area(int(hand.sum()))
     fingers = finger_masks(hand, palm_mask, min_finger, (palm.x, palm.y))
-    tips = detect_fingertips(crop, fingers, config.calibration)
+    tips = detect_fingertips(frame.samples[blob.box], fingers, config.calibration)
     return (
         replace(palm, x=palm.x + x0, y=palm.y + y0),
         [replace(t, x=t.x + x0, y=t.y + y0) for t in tips],
@@ -149,8 +155,7 @@ def extract_hands(frame: DepthFrame, config: PipelineConfig) -> list[HandObserva
         if any(obs[2].contains(seed.x, seed.y) for obs in observations):
             continue  # both seeds landed on one blob; report it once
         try:
-            mask = depth_threshold(frame, seed, config.band_cm, config.calibration)
-            blob = select_hand_blob(connected_components(mask), seed)
+            blob = segment_hand(frame, seed, config.band_cm, config.calibration)
             observations.append(_analyze_hand(frame, blob, config))
         except (NotFoundError, DegenerateHandError, EmptyResultError, DomainError) as exc:
             log.warning("hand at seed (%d, %d) dropped: %s", seed.x, seed.y, exc)

@@ -16,6 +16,16 @@ takes component stats from the same runs (run-based labelling, He,
 Chao & Suzuki, IEEE TIP 2008).  Each component is its bbox and a
 boolean mask of the bbox's shape, painted from its own runs; no
 frame-sized label image is built for it.
+
+The whole frame is labelled once, for the slab.  A seed from
+find_hand_seeds keeps its slab blob, and segment_hand labels the seed's
+band only inside that blob's bbox whenever every raw code of the band
+is also a slab code.  The band mask then lies inside the slab mask, so
+a band pixel touching the seed's band component is a slab pixel
+touching the seed's slab blob, hence in it: the component never leaves
+the blob, and the bbox holds all of it.  When the band reaches past the
+slab (a hand more than slab_cm - band_cm behind the nearest pixel, or
+band_cm >= slab_cm), the band is labelled over the whole frame instead.
 """
 
 from __future__ import annotations
@@ -31,11 +41,18 @@ from .frame_io import DepthFrame
 
 @dataclass(frozen=True)
 class HandSeed:
-    """A pixel assumed to lie on a hand, with the raw depth found there."""
+    """A pixel assumed to lie on a hand, with the raw depth found there.
+
+    A seed from find_hand_seeds also carries ``slab``: the slab blob it
+    lies in and the slab's table over raw codes, valid for the frame the
+    seed was found in.  A seed made elsewhere (a tracker, a test) has
+    none.  ``slab`` takes no part in equality.
+    """
 
     x: int
     y: int
     depth_raw: int
+    slab: tuple[Blob, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -44,7 +61,9 @@ class Blob:
 
     ``mask`` has the bbox's shape and marks the component's pixels in
     it; ``box`` places it in the labelled array.  The blob holds no
-    frame-sized label image.
+    frame-sized label image.  ``label`` only orders the blobs of one
+    labelling (raster order of their first pixel); blobs from different
+    labellings, such as a window and the whole frame, do not share it.
     """
 
     label: int
@@ -146,12 +165,16 @@ def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, in
     return labels, len(roots)
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
+def connected_components(
+    mask: np.ndarray, connectivity: int = 8, origin: tuple[int, int] = (0, 0)
+) -> list[Blob]:
     """Maximal connected components of the foreground as Blob records.
 
     Stats come from the labelled runs, never from a rescan of the mask.
     Every blob's bbox mask is a view into one buffer that holds them all
     back to back, painted in one scatter of the foreground pixels.
+    ``origin`` is the (x, y) of the mask's first pixel in the array the
+    bboxes and centroids refer to, for a mask cut out of a larger one.
     """
     roots, flat, (run_y, start, end, component) = _label_runs(mask, connectivity)
     count, length = len(roots), end - start
@@ -166,9 +189,10 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
         return out
 
     w = np.shape(mask)[1]
+    ox, oy = origin
     area = total(length)
-    sum_x = total(length * (start + end - 1) // 2)
-    sum_y = total(length * run_y)
+    sum_x = total(length * (start + end - 1 + 2 * ox) // 2)  # the run's x sum, an integer
+    sum_y = total(length * (run_y + oy))
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
     max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
     # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so its
@@ -179,7 +203,8 @@ def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
     buf = np.zeros(int(off[-1]), dtype=bool)
     base = off[:-1] - min_y * box_w - min_x
     buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
-    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
+    corners = (min_x + ox, min_y + oy, max_x + ox, max_y + oy)
+    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (*corners, off)))
     return [  # positional fields: label, area, bbox, centroid, mask
         Blob(lab, a, (x0, y0, x1, y1), (sx / a, sy / a),
              buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1))
@@ -201,6 +226,16 @@ def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
     return table[samples]
 
 
+def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np.ndarray:
+    """The raw codes within +/- band_cm of the seed's depth."""
+    if band_cm <= 0:
+        raise ValueError("band_cm must be positive")
+    if not 0 <= seed.depth_raw <= params.raw_valid_max:
+        raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
+    seed_cm = raw_to_cm(seed.depth_raw, params)
+    return np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
+
+
 def depth_threshold(
     frame: DepthFrame,
     seed: HandSeed,
@@ -208,13 +243,7 @@ def depth_threshold(
     params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> np.ndarray:
     """Foreground mask: valid pixels within +/- band_cm of the seed's depth."""
-    if band_cm <= 0:
-        raise ValueError("band_cm must be positive")
-    if not 0 <= seed.depth_raw <= params.raw_valid_max:
-        raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
-    seed_cm = raw_to_cm(seed.depth_raw, params)
-    in_band = np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
-    return _table_mask(in_band, frame.samples)
+    return _table_mask(_band_table(seed, band_cm, params), frame.samples)
 
 
 def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
@@ -252,7 +281,32 @@ def find_hand_seeds(
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: (-b.area, b.label))
-    return [HandSeed(*blob.lowest(samples)) for blob in blobs[:max_hands]]
+    return [HandSeed(*blob.lowest(samples), slab=(blob, in_slab)) for blob in blobs[:max_hands]]
+
+
+def segment_hand(
+    frame: DepthFrame,
+    seed: HandSeed,
+    band_cm: float,
+    params: CalibrationParams = DEFAULT_CALIBRATION,
+) -> Blob:
+    """The 8-connected component of the seed's depth band that holds the seed.
+
+    The same pixels, bbox and centroid as select_hand_blob over the
+    components of depth_threshold, in frame coordinates.  If every raw
+    code of the band is a code of the seed's slab, the band is
+    thresholded and labelled only inside the bbox of the seed's slab
+    blob (see the module docstring); otherwise, or for a seed without a
+    slab, over the whole frame.
+    """
+    if seed.slab is not None:
+        slab, in_slab = seed.slab
+        in_band = _band_table(seed, band_cm, params)
+        if not (in_band & ~in_slab).any():
+            mask = _table_mask(in_band, frame.samples[slab.box])
+            return select_hand_blob(connected_components(mask, origin=slab.bbox[:2]), seed)
+    mask = depth_threshold(frame, seed, band_cm, params)
+    return select_hand_blob(connected_components(mask), seed)
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Independent reference implementations used as test oracles.
 
 Everything here is written from first principles (brute force, explicit
-set definitions, BFS) and never calls into the algorithms under test.
-The mask generators at the end feed the oracle comparisons.
+set definitions, BFS) and never calls into the algorithms under test,
+except the few oracles that keep a code path the library replaced
+(each says so).  The mask generators at the end feed the oracle
+comparisons.
 """
 
 from __future__ import annotations
@@ -11,8 +13,12 @@ import math
 from collections import deque
 
 import numpy as np
+import pytest
 from hypothesis import settings, strategies as st
 
+from handdepth import segmentation
+from handdepth.calibration import raw_to_cm
+from handdepth.segmentation import connected_components, depth_threshold, select_hand_blob
 from handdepth.tracking import HandId, _Track
 
 
@@ -226,6 +232,56 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
         (area, (x0, y0, x1, y1), (sx / area, sy / area))
         for area, x0, y0, x1, y1, sx, sy in stats
     ]
+
+
+def hand_blob_whole_frame(frame, seed, band_cm, params):
+    """The seed's band blob as found before segment_hand, kept as its oracle.
+
+    Thresholds the band over the whole frame, labels every component of
+    it and keeps the one that holds the seed.
+    """
+    mask = depth_threshold(frame, seed, band_cm, params)
+    return select_hand_blob(connected_components(mask), seed)
+
+
+def segment_hand_path(frame, seed, band_cm, params):
+    """Which array segment_hand labelled, and the blob it returned.
+
+    "window" is the seed's slab blob's bbox (the mask handed over with
+    that bbox's origin), "frame" the whole frame.
+    """
+    calls = []
+
+    def recording(mask, *args, **kwargs):
+        calls.append((np.shape(mask), kwargs.get("origin")))
+        return connected_components(mask, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(segmentation, "connected_components", recording)
+        blob = segmentation.segment_hand(frame, seed, band_cm, params)
+    (call,) = calls
+    if seed.slab is not None and call == (seed.slab[0].mask.shape, seed.slab[0].bbox[:2]):
+        return "window", blob
+    assert call == (frame.samples.shape, None)
+    return "frame", blob
+
+
+def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
+    """The path segment_hand must take, or None near the boundary.
+
+    The window is exact when the band's far edge (seed depth + band_cm)
+    stays within the slab (nearest depth + slab_cm).  Raw codes lie less
+    than ``margin_cm`` apart at the test depths, so a far edge more than
+    that past the slab's takes a band code the slab lacks.
+    """
+    near_cm = raw_to_cm(int(frame.samples.min()), params)
+    reach = raw_to_cm(seed.depth_raw, params) + band_cm - (near_cm + slab_cm)
+    return "window" if reach < -margin_cm else "frame" if reach > margin_cm else None
+
+
+def blob_key(blob) -> tuple:
+    """Everything of a blob but its label, which only orders one labelling."""
+    return blob.area, blob.bbox, blob.centroid, blob.mask.shape, blob.mask.tobytes()
 
 
 def update_three_rules(state, reports):

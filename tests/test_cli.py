@@ -111,6 +111,19 @@ def test_detect_and_bench_reject_mistyped_calibration(tmp_path, frame_dir, capsy
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text", ['{"max_hands": 1.0}', '{"band_cm": NaN}', '{"slab_cm": NaN}',
+             '{"min_finger_area": NaN}', '{"band_cm": Infinity}', '{"radius_factor": "0.7"}',
+             '{"min_area": true}']
+)
+def test_detect_and_bench_reject_malformed_numbers(tmp_path, frame_dir, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
+    assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_detect_accepts_config(tmp_path, frame_dir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -27,7 +27,7 @@ def mask_at(shape, coords):
 def test_single_pixel_mask():
     frame = frame_of([[900, 800], [700, 600]])
     mask = mask_at((2, 2), [(1, 0)])
-    (tip,) = detect_fingertips(frame, [mask])
+    (tip,) = detect_fingertips(frame.samples, [mask])
     assert (tip.x, tip.y, tip.finger_index) == (1, 0, 0)
     assert tip.depth_cm == pytest.approx(raw_to_cm(800))
 
@@ -35,14 +35,14 @@ def test_single_pixel_mask():
 def test_uniform_depth_tie_breaks_topmost_leftmost():
     frame = frame_of([[500] * 4] * 4)
     mask = mask_at((4, 4), [(2, 3), (1, 2), (3, 2), (2, 1)])
-    (tip,) = detect_fingertips(frame, [mask])
+    (tip,) = detect_fingertips(frame.samples, [mask])
     assert (tip.x, tip.y) == (2, 1)
 
 
 def test_sentinel_pixels_skipped():
     frame = frame_of([[RAW_SENTINEL, 800, 750]])
     mask = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
-    (tip,) = detect_fingertips(frame, [mask])
+    (tip,) = detect_fingertips(frame.samples, [mask])
     assert (tip.x, tip.y) == (2, 0)
 
 
@@ -50,7 +50,7 @@ def test_all_sentinel_finger_omitted():
     frame = frame_of([[RAW_SENTINEL, RAW_SENTINEL, 700]])
     dead = mask_at((1, 3), [(0, 0), (1, 0)])
     live = mask_at((1, 3), [(2, 0)])
-    tips = detect_fingertips(frame, [dead, live])
+    tips = detect_fingertips(frame.samples, [dead, live])
     assert len(tips) == 1
     assert tips[0].finger_index == 1  # index keyed to input position, not output
 
@@ -59,18 +59,17 @@ def test_all_sentinel_finger_ignores_usable_pixels_in_its_bbox():
     frame = frame_of([[RAW_SENTINEL, 600, 900], [RAW_SENTINEL, RAW_SENTINEL, 900]])
     dead = mask_at((2, 3), [(0, 0), (0, 1), (1, 1)])  # an L whose bbox holds (1, 0)
     live = mask_at((2, 3), [(2, 0), (2, 1)])
-    (tip,) = detect_fingertips(frame, [dead, live])
+    (tip,) = detect_fingertips(frame.samples, [dead, live])
     assert (tip.x, tip.y, tip.finger_index) == (2, 0, 1)
-    assert detect_fingertips(frame, [dead]) == []
+    assert detect_fingertips(frame.samples, [dead]) == []
 
 
 def test_depth_equals_frame_value_at_tip():
     rng = np.random.default_rng(31)
     samples = rng.integers(300, 1000, size=(12, 12), dtype=np.uint16)
-    frame = DepthFrame(samples)
     mask = np.zeros((12, 12), dtype=bool)
     mask[4:9, 2:7] = True
-    (tip,) = detect_fingertips(frame, connected_components(mask))
+    (tip,) = detect_fingertips(samples, connected_components(mask))
     assert mask[tip.y, tip.x]
     assert tip.depth_cm == pytest.approx(raw_to_cm(int(samples[tip.y, tip.x])))
     assert int(samples[tip.y, tip.x]) == int(samples[mask].min())
@@ -79,14 +78,13 @@ def test_depth_equals_frame_value_at_tip():
 def test_permuting_masks_permutes_indices():
     rng = np.random.default_rng(32)
     samples = rng.integers(300, 1000, size=(10, 14), dtype=np.uint16)
-    frame = DepthFrame(samples)
     masks = [
         mask_at((10, 14), [(1, 1), (2, 1)]),
         mask_at((10, 14), [(7, 5), (8, 5), (8, 6)]),
         mask_at((10, 14), [(12, 8)]),
     ]
-    forward = detect_fingertips(frame, masks)
-    backward = detect_fingertips(frame, masks[::-1])
+    forward = detect_fingertips(samples, masks)
+    backward = detect_fingertips(samples, masks[::-1])
     remapped = sorted(
         ((len(masks) - 1 - t.finger_index, t.x, t.y, t.depth_cm) for t in backward)
     )
@@ -97,11 +95,11 @@ def test_tip_invariant_to_outside_pixels():
     samples = np.full((8, 8), 900, dtype=np.uint16)
     samples[3, 3] = 500
     mask = mask_at((8, 8), [(3, 3), (4, 3), (3, 4)])
-    base = detect_fingertips(DepthFrame(samples), [mask])
+    base = detect_fingertips(samples, [mask])
     noisy = samples.copy()
     noisy[7, 7] = 5
     noisy[0, 0] = RAW_SENTINEL
-    again = detect_fingertips(DepthFrame(noisy), [mask])
+    again = detect_fingertips(noisy, [mask])
     assert base == again
 
 
@@ -121,22 +119,22 @@ def test_synthetic_tips_found_exactly():
     center = find_palm_center(dist, truth.support)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
-    tips = detect_fingertips(frame, fingers)
+    tips = detect_fingertips(frame.samples, fingers)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)
 
 
 def test_margin_basics():
     frame = frame_of([[100, 105, 105]])
     finger = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
-    assert tips_toward_camera_margin(frame, finger) == 5
+    assert tips_toward_camera_margin(frame.samples, finger) == 5
     flat = frame_of([[300, 300, 300]])
-    assert tips_toward_camera_margin(flat, finger) == 0
+    assert tips_toward_camera_margin(flat.samples, finger) == 0
     dead = frame_of([[RAW_SENTINEL, RAW_SENTINEL, RAW_SENTINEL]])
     with pytest.raises(NoValidDepthError):
-        tips_toward_camera_margin(dead, finger)
+        tips_toward_camera_margin(dead.samples, finger)
     # only the finger's own pixels count, not the rest of its bbox
     corner = mask_at((2, 2), [(0, 0), (1, 1)])
-    assert tips_toward_camera_margin(frame_of([[100, 1], [2, 103]]), corner) == 3
+    assert tips_toward_camera_margin(frame_of([[100, 1], [2, 103]]).samples, corner) == 3
 
 
 def test_margin_on_synthetic_finger():
@@ -155,4 +153,4 @@ def test_margin_on_synthetic_finger():
     center = find_palm_center(dist, truth.support)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     (finger,) = finger_masks(truth.support, palm, 12, (center.x, center.y))
-    assert tips_toward_camera_margin(frame, finger) >= 1
+    assert tips_toward_camera_margin(frame.samples, finger) >= 1

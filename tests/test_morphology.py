@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from handdepth.distance import distance_transform, find_palm_center
 from handdepth.errors import DegenerateHandError, EmptyResultError
@@ -80,6 +80,34 @@ def test_extract_palm_is_opening_of_the_mapped_mask():
             else:
                 with pytest.raises(EmptyResultError):
                     extract_palm(dist, radius)
+
+
+def assert_extract_palm_dilates_the_core(core: np.ndarray, radius: int, seed: int) -> None:
+    """extract_palm on a map whose core is ``core`` against dilate over the whole crop."""
+    rr = radius * radius
+    rng = np.random.default_rng(seed)
+    # any values above r*r on the core and at most r*r off it
+    hand_dist = np.where(core, rng.integers(rr + 1, rr + 9, core.shape),
+                         rng.integers(0, rr + 1, core.shape))
+    if core.any():
+        assert np.array_equal(extract_palm(hand_dist, radius), dilate(core, DiskElement(radius)))
+    else:
+        with pytest.raises(EmptyResultError):
+            extract_palm(hand_dist, radius)
+
+
+@deterministic
+@given(masks, st.integers(1, 12), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_extract_palm_dilates_only_near_the_core(mask, radius, keep, seed):
+    # thinning the mask leaves sparse cores, some far from the crop's edges
+    core = mask & (np.random.default_rng(seed).random(mask.shape) < keep)
+    assert_extract_palm_dilates_the_core(core, radius, seed)
+
+
+def test_extract_palm_dilates_cores_on_the_crop_edge():
+    for i, core in enumerate(edge_masks()):
+        for radius in (1, 2, 5):
+            assert_extract_palm_dilates_the_core(core, radius, i)
 
 
 def palm_centers_agree(mask: np.ndarray) -> int:

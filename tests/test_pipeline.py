@@ -6,7 +6,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from handdepth import pipeline
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw
 from handdepth.errors import ConfigError
 from handdepth.frame_io import DepthFrame, write_report
@@ -19,6 +21,14 @@ from handdepth.pipeline import (
 )
 from handdepth.synthetic import HandSpec, build_corpus, render_scene
 from handdepth.tracking import HandId, PINK, WHITE
+
+from reference import (
+    blob_key,
+    deterministic,
+    expected_path,
+    hand_blob_whole_frame,
+    segment_hand_path,
+)
 
 
 CFG = PipelineConfig()
@@ -190,6 +200,17 @@ def test_config_rejects_bad_values():
         PipelineConfig(max_hands=3)
     with pytest.raises(ConfigError):
         config_from_dict({"calibration": {"h": -1}})
+    nan, inf = float("nan"), float("inf")
+    for key in ("band_cm", "slab_cm", "radius_factor"):
+        for value in (nan, inf, -inf, "0.5", None, True, [0.5]):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({key: value})
+    for key in ("max_hands", "min_area", "max_misses", "min_finger_area"):
+        for value in (1.0, 2.5, nan, inf, "2", True, [1]):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({key: value})
+    numpy_values = PipelineConfig(band_cm=12, slab_cm=np.float64(18.5), max_hands=np.int64(1))
+    assert numpy_values.max_hands == 1
 
 
 def test_max_hands_one_reports_single():
@@ -241,3 +262,51 @@ def test_hands_cut_by_the_frame_edge_match_the_padded_frame():
                 for palm, tips, _ in cut
             ]
     assert found == 36  # every cut keeps its hand
+
+
+def two_hand_frame(seed, far_cm, dropout):
+    """Two random hands left and right at 320x240: one at 60-110 cm, one ``far_cm`` behind it."""
+    rng = np.random.default_rng(seed)
+    specs = []
+    near_cm = rng.uniform(60, 110)
+    for center_x, depth in ((rng.uniform(55, 105), near_cm),
+                            (rng.uniform(215, 265), near_cm + far_cm)):
+        radius = rng.uniform(14, 20)
+        count = int(rng.integers(0, 6))
+        specs.append(HandSpec(
+            palm_center=(center_x, rng.uniform(55, 185)), palm_radius=radius, finger_count=count,
+            finger_length=tuple(radius * rng.uniform(1.1, 1.4, count)),
+            finger_width=tuple(radius * rng.uniform(0.3, 0.42, count)),
+            orientation_deg=rng.uniform(0, 360), base_depth_cm=depth, tip_slope=2))
+    frame, _ = render_scene(specs, (320, 240), 200, noise_seed=seed, dropout_rate=dropout)
+    return frame
+
+
+two_hand_cases = st.tuples(
+    st.builds(two_hand_frame, st.integers(0, 2**32 - 1),
+              st.one_of(st.floats(-4, 4), st.floats(6, 15)), st.sampled_from([0.0, 0.02])),
+    st.sampled_from([CFG, PipelineConfig(slab_cm=12.0), PipelineConfig(band_cm=8.0, slab_cm=30.0)]),
+)
+
+
+@deterministic
+@given(two_hand_cases)
+def test_slab_window_matches_whole_frame_band_on_two_hand_frames(case):
+    frame, config = case
+    paths = []
+
+    def traced_segment_hand(frame, seed, band_cm, params):
+        path, blob = segment_hand_path(frame, seed, band_cm, params)
+        assert expected_path(frame, seed, band_cm, config.slab_cm, params) in (path, None)
+        paths.append(path)
+        return blob
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "segment_hand", traced_segment_hand)
+        got = extract_hands(frame, config)
+        mp.setattr(pipeline, "segment_hand", hand_blob_whole_frame)
+        want = extract_hands(frame, config)
+    assert paths  # every frame holds a seed
+    assert [(palm, tips, blob_key(blob)) for palm, tips, blob in got] == [
+        (palm, tips, blob_key(blob)) for palm, tips, blob in want
+    ]

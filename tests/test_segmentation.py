@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from handdepth.errors import DomainError, NotFoundError
 from handdepth.frame_io import DepthFrame
@@ -8,6 +8,7 @@ from handdepth.calibration import (
     DEFAULT_CALIBRATION,
     RAW_SENTINEL,
     CalibrationParams,
+    cm_to_raw,
     depth_image_cm,
     raw_to_cm,
 )
@@ -19,18 +20,23 @@ from handdepth.segmentation import (
     fill_holes,
     find_hand_seeds,
     label_image,
+    segment_hand,
     select_hand_blob,
 )
 from handdepth.synthetic import HandSpec, render_hand, render_scene
 
 from reference import (
+    blob_key,
     deterministic,
     edge_masks,
+    expected_path,
     flood_fill_components,
+    hand_blob_whole_frame,
     label_rowwise,
     masks,
     placed,
     random_mask,
+    segment_hand_path,
 )
 
 
@@ -327,6 +333,128 @@ def test_find_seeds_validation():
         find_hand_seeds(frame, 3, min_area=1)
     with pytest.raises(ValueError):
         find_hand_seeds(frame, 1, min_area=0)
+
+
+@deterministic
+@given(masks, st.integers(0, 9), st.integers(0, 9))
+def test_components_with_an_origin_match_the_mask_placed_there(mask, ox, oy):
+    got = connected_components(mask, origin=(ox, oy))
+    want = connected_components(np.pad(mask, ((oy, 0), (ox, 0))))
+    assert [(b.label, *blob_key(b)) for b in got] == [(b.label, *blob_key(b)) for b in want]
+
+
+def seeds_and_paths(frame, band_cm=15.0, slab_cm=20.0, min_area=50, params=DEFAULT_CALIBRATION):
+    """``(seed, path, blob)`` of segment_hand on each found seed, checked against the oracle."""
+    out = []
+    for seed in find_hand_seeds(frame, 2, min_area, slab_cm, params):
+        path, blob = segment_hand_path(frame, seed, band_cm, params)
+        assert blob_key(blob) == blob_key(hand_blob_whole_frame(frame, seed, band_cm, params))
+        assert expected_path(frame, seed, band_cm, slab_cm, params) in (path, None)
+        out.append((seed, path, blob))
+    return out
+
+
+def two_hand_frame(far_cm, block_cm=None):
+    """A hand at 80 cm on the left, one at ``far_cm`` on the right.
+
+    With ``block_cm``, a flat block at that depth overlaps the far palm's
+    right edge.
+    """
+    near = HandSpec(palm_center=(60, 70), palm_radius=18, finger_count=2,
+                    finger_length=22, finger_width=7, orientation_deg=250,
+                    base_depth_cm=80, tip_slope=2)
+    far = HandSpec(palm_center=(180, 70), palm_radius=18, finger_count=3,
+                   finger_length=22, finger_width=7, orientation_deg=290,
+                   base_depth_cm=far_cm, tip_slope=2)
+    frame, (_, far_truth) = render_scene([near, far], (240, 140), 170)
+    if block_cm is None:
+        return frame
+    samples = frame.samples.copy()
+    block = np.zeros(samples.shape, dtype=bool)
+    block[62:80, 190:230] = True
+    samples[block & ~far_truth.support] = cm_to_raw(block_cm)
+    return DepthFrame(samples)
+
+
+def by_side(found):
+    """The paths of the left (near) and right (far) hand's seeds."""
+    return {("near" if seed.x < 120 else "far"): path for seed, path, _ in found}
+
+
+def test_segment_hand_labels_inside_the_slab_blob():
+    found = seeds_and_paths(two_hand_frame(83))
+    assert by_side(found) == {"near": "window", "far": "window"}
+    for seed, _, blob in found:
+        slab = seed.slab[0]
+        assert not (placed(blob, (140, 240)) & ~placed(slab, (140, 240))).any()
+
+
+@pytest.mark.parametrize("far_cm", [88, 92, 95])
+def test_segment_hand_falls_back_when_the_band_reaches_past_the_slab(far_cm):
+    # the far hand sits 6-15 cm behind the nearest pixel (a near fingertip)
+    assert by_side(seeds_and_paths(two_hand_frame(far_cm))) == {"near": "window", "far": "frame"}
+
+
+def test_segment_hand_follows_the_band_out_of_the_slab_blob():
+    # A block past the slab but inside the far hand's band, overlapping
+    # the far palm: the far hand's band blob holds pixels of it that its
+    # slab blob lacks.
+    frame = two_hand_frame(89)
+    near_cm = raw_to_cm(int(frame.samples.min()))
+    far_seed = max(find_hand_seeds(frame, 2, 50), key=lambda seed: seed.x)
+    block_cm = (near_cm + 20.0 + raw_to_cm(far_seed.depth_raw) + 15.0) / 2
+    frame = two_hand_frame(89, block_cm=block_cm)
+    found = seeds_and_paths(frame)
+    assert by_side(found) == {"near": "window", "far": "frame"}
+    ((seed, _, blob),) = [f for f in found if f[0].x >= 120]
+    assert seed == far_seed
+    outside = placed(blob, (140, 240)) & ~placed(seed.slab[0], (140, 240))
+    block = np.zeros_like(outside)
+    block[62:80, 190:230] = True
+    assert outside[70, 229] and not (outside & ~block).any()
+
+
+def test_segment_hand_band_at_least_the_slab_uses_the_whole_frame():
+    found = seeds_and_paths(two_hand_frame(83), band_cm=15.0, slab_cm=12.0)
+    assert by_side(found) == {"near": "frame", "far": "frame"}
+
+
+def test_segment_hand_without_a_slab_uses_the_whole_frame():
+    frame = two_hand_frame(83)
+    for seed in find_hand_seeds(frame, 2, 50):
+        bare = HandSeed(seed.x, seed.y, seed.depth_raw)
+        assert bare == seed and bare.slab is None
+        path, blob = segment_hand_path(frame, bare, 15.0, DEFAULT_CALIBRATION)
+        want = hand_blob_whole_frame(frame, seed, 15.0, DEFAULT_CALIBRATION)
+        assert path == "frame" and blob_key(blob) == blob_key(want)
+    with pytest.raises(ValueError):
+        segment_hand(frame, seed, 0.0)
+    with pytest.raises(NotFoundError):
+        segment_hand(frame, HandSeed(0, 0, seed.depth_raw), 15.0)
+
+
+def blocky_frame(h, w, cell, seed):
+    """Near codes in cells of random depth, with noise and 5 % dropouts."""
+    rng = np.random.default_rng(seed)
+    coarse = rng.integers(520, 720, (h // cell + 1, w // cell + 1))
+    samples = np.kron(coarse, np.ones((cell, cell), dtype=np.int64))[:h, :w]
+    samples += rng.integers(0, 4, (h, w))
+    samples[rng.random((h, w)) < 0.05] = RAW_SENTINEL
+    return DepthFrame(samples.astype(np.uint16))
+
+
+@deterministic
+@given(
+    st.builds(blocky_frame, st.integers(4, 40), st.integers(4, 40), st.integers(1, 6),
+              st.integers(0, 2**32 - 1)),
+    st.floats(0.3, 25.0),
+    st.floats(0.3, 25.0),
+)
+def test_segment_hand_matches_whole_frame_band_on_random_frames(frame, band_cm, slab_cm):
+    try:
+        seeds_and_paths(frame, band_cm, slab_cm, min_area=1)
+    except NotFoundError:
+        assert (frame.samples == RAW_SENTINEL).all()
 
 
 def test_fill_holes():
