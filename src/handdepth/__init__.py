@@ -13,7 +13,6 @@ from .calibration import (
     RAW_SENTINEL,
     cm_per_raw,
     cm_to_raw,
-    depth_image_cm,
     raw_to_cm,
     valid_domain,
 )
@@ -55,7 +54,6 @@ from .segmentation import (
     Blob,
     HandSeed,
     connected_components,
-    depth_threshold,
     fill_holes,
     find_hand_seeds,
     segment_hand,

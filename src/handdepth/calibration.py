@@ -7,7 +7,10 @@ conversions are restricted to an explicit valid domain.  Raw value 2047
 is reserved as the "no measurement" sentinel and never converts.
 
 The detection path never converts a frame: a calibration's cm_table holds
-the depth of all 2048 raw codes, so a metric threshold is a table lookup.
+the depth of all 2048 raw codes (NaN past raw_valid_max), so a metric
+threshold is a test on the table, compared with the frame in raw space.
+A tiny h_rad puts the pole far past the 11-bit range: every code up to
+2046 is then in the domain, and the table is close to flat.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -48,18 +52,23 @@ class CalibrationParams:
         if self.l_rad <= -math.pi / 2:
             # a second pole at h*raw + l = -pi/2 would break monotonicity
             raise DomainError("l_rad must exceed -pi/2")
+        # bool is an int subclass; cm_table takes the codes 0..raw_valid_max
+        if isinstance(self.raw_valid_max, bool) or not isinstance(self.raw_valid_max, Integral):
+            raise DomainError(f"raw_valid_max must be an integer, not {self.raw_valid_max!r}")
         if not 0 <= self.raw_valid_max <= RAW_CEILING:
             raise DomainError("raw_valid_max must lie in [0, 2046]")
-        if self.raw_valid_max > valid_domain(self):
+        bound = valid_domain(self)
+        if self.raw_valid_max > bound:
             raise DomainError(
-                f"raw_valid_max={self.raw_valid_max} exceeds the tangent-pole "
-                f"bound {valid_domain(self)}"
+                f"raw_valid_max={self.raw_valid_max} exceeds the tangent-pole bound {bound}"
             )
 
     @functools.cached_property
     def cm_table(self) -> np.ndarray:
-        """Depth of every raw code 0..2047 by depth_image_cm (NaN where invalid); read-only."""
-        cm, _ = depth_image_cm(np.arange(RAW_SENTINEL + 1), self)
+        """Depth of every raw code 0..2047, NaN past raw_valid_max; read-only."""
+        valid = np.arange(self.raw_valid_max + 1, dtype=np.float64)
+        cm = np.full(RAW_SENTINEL + 1, np.nan)
+        cm[:valid.size] = self.k_cm * np.tan(self.h_rad * valid + self.l_rad) - self.o_cm
         cm.flags.writeable = False
         return cm
 
@@ -67,19 +76,15 @@ class CalibrationParams:
 def valid_domain(params: CalibrationParams) -> int:
     """Largest raw value that still converts to a finite depth.
 
-    Solves ``h*raw + l < pi/2`` for raw, clamped to the 11-bit ceiling.
-    Raises DomainError when even raw 0 sits past the pole.
+    The largest code in 0..2046 with ``h*raw + l < pi/2``, taken in the
+    same float arithmetic the conversions use, so round-off at the pole
+    cannot put a code on the wrong side.  Raises DomainError when even
+    raw 0 sits past the pole.
     """
-    limit = (math.pi / 2 - params.l_rad) / params.h_rad
-    if limit <= 0:
+    below = np.flatnonzero(params.h_rad * np.arange(RAW_CEILING + 1) + params.l_rad < math.pi / 2)
+    if not below.size:
         raise DomainError("empty calibration domain: l_rad is at or past pi/2")
-    bound = math.ceil(limit) - 1
-    # guard against float round-off at the boundary
-    while bound >= 0 and params.h_rad * bound + params.l_rad >= math.pi / 2:
-        bound -= 1
-    if bound < 0:
-        raise DomainError("empty calibration domain: l_rad is at or past pi/2")
-    return min(bound, RAW_CEILING)
+    return int(below[-1])
 
 
 DEFAULT_CALIBRATION = CalibrationParams()
@@ -109,10 +114,12 @@ def cm_to_raw(depth_cm: float, params: CalibrationParams = DEFAULT_CALIBRATION) 
     """
     if not math.isfinite(depth_cm):
         raise DomainError(f"depth {depth_cm} cm is not finite")
-    raw = round((math.atan((depth_cm + params.o_cm) / params.k_cm) - params.l_rad) / params.h_rad)
+    raw = (math.atan((depth_cm + params.o_cm) / params.k_cm) - params.l_rad) / params.h_rad
+    if math.isfinite(raw):  # a tiny h_rad can overflow it
+        raw = round(raw)
     if not 0 <= raw <= params.raw_valid_max:
         raise DomainError(
-            f"depth {depth_cm} cm maps to raw {raw}, outside [0, {params.raw_valid_max}]"
+            f"depth {depth_cm} cm maps to raw {raw:.6g}, outside [0, {params.raw_valid_max}]"
         )
     return raw
 
@@ -128,19 +135,3 @@ def cm_per_raw(raw: int, params: CalibrationParams = DEFAULT_CALIBRATION) -> flo
             f"raw disparity {raw} outside valid domain [0, {params.raw_valid_max}]"
         )
     return params.k_cm * params.h_rad / math.cos(params.h_rad * raw + params.l_rad) ** 2
-
-
-def depth_image_cm(
-    samples: np.ndarray, params: CalibrationParams = DEFAULT_CALIBRATION
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized raw_to_cm over a whole frame.
-
-    Returns ``(cm, valid)`` where ``valid`` flags samples inside the
-    calibration domain (the sentinel is never valid) and ``cm`` holds NaN
-    wherever ``valid`` is False.
-    """
-    valid = samples <= params.raw_valid_max
-    cm = np.full(samples.shape, np.nan)
-    r = samples[valid].astype(np.float64)
-    cm[valid] = params.k_cm * np.tan(params.h_rad * r + params.l_rad) - params.o_cm
-    return cm, valid

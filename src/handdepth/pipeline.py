@@ -98,11 +98,11 @@ def config_from_dict(data: dict) -> PipelineConfig:
             kwargs["calibration"] = CalibrationParams(
                 **{_CALIBRATION_KEYS[k]: v for k, v in cal.items()}
             )
-        except (DomainError, TypeError) as exc:
+        except (DomainError, TypeError, OverflowError) as exc:  # overflow: a huge JSON int
             raise ConfigError(f"bad calibration: {exc}") from exc
     try:
         return PipelineConfig(**kwargs)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ConfigError(f"bad config: {exc}") from exc
 
 

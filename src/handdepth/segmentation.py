@@ -17,15 +17,17 @@ Chao & Suzuki, IEEE TIP 2008).  Each component is its bbox and a
 boolean mask of the bbox's shape, painted from its own runs; no
 frame-sized label image is built for it.
 
-The whole frame is labelled once, for the slab.  A seed from
-find_hand_seeds keeps its slab blob, and segment_hand labels the seed's
-band only inside that blob's bbox whenever every raw code of the band
-is also a slab code.  The band mask then lies inside the slab mask, so
-a band pixel touching the seed's band component is a slab pixel
-touching the seed's slab blob, hence in it: the component never leaves
-the blob, and the bbox holds all of it.  When the band reaches past the
-slab (a hand more than slab_cm - band_cm behind the nearest pixel, or
-band_cm >= slab_cm), the band is labelled over the whole frame instead.
+The whole frame is labelled once, for the slab.  segment_hand then
+takes one path for every seed: it builds the band's table over raw
+codes, picks a window, thresholds and labels the band there, and keeps
+the component holding the seed.  The window is the bbox of the seed's
+slab blob whenever every raw code of the band is also a slab code.  The
+band mask then lies inside the slab mask, so a band pixel touching the
+seed's band component is a slab pixel touching the seed's slab blob,
+hence in it: the component never leaves the blob, and the bbox holds
+all of it.  When the band reaches past the slab (a hand more than
+slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm), or
+the seed carries no slab, the window is the whole frame.
 """
 
 from __future__ import annotations
@@ -236,16 +238,6 @@ def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np
     return np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
 
 
-def depth_threshold(
-    frame: DepthFrame,
-    seed: HandSeed,
-    band_cm: float,
-    params: CalibrationParams = DEFAULT_CALIBRATION,
-) -> np.ndarray:
-    """Foreground mask: valid pixels within +/- band_cm of the seed's depth."""
-    return _table_mask(_band_table(seed, band_cm, params), frame.samples)
-
-
 def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
     """The unique blob containing the seed pixel; NotFoundError if background."""
     for blob in blobs:
@@ -292,21 +284,21 @@ def segment_hand(
 ) -> Blob:
     """The 8-connected component of the seed's depth band that holds the seed.
 
-    The same pixels, bbox and centroid as select_hand_blob over the
-    components of depth_threshold, in frame coordinates.  If every raw
-    code of the band is a code of the seed's slab, the band is
+    The band is the valid pixels within +/- band_cm of the seed's depth.
+    If every raw code of the band is a code of the seed's slab, it is
     thresholded and labelled only inside the bbox of the seed's slab
     blob (see the module docstring); otherwise, or for a seed without a
-    slab, over the whole frame.
+    slab, over the whole frame.  Either way the blob is in frame
+    coordinates.
     """
+    in_band = _band_table(seed, band_cm, params)
+    window, origin = np.s_[:, :], (0, 0)
     if seed.slab is not None:
         slab, in_slab = seed.slab
-        in_band = _band_table(seed, band_cm, params)
         if not (in_band & ~in_slab).any():
-            mask = _table_mask(in_band, frame.samples[slab.box])
-            return select_hand_blob(connected_components(mask, origin=slab.bbox[:2]), seed)
-    mask = depth_threshold(frame, seed, band_cm, params)
-    return select_hand_blob(connected_components(mask), seed)
+            window, origin = slab.box, slab.bbox[:2]
+    mask = _table_mask(in_band, frame.samples[window])
+    return select_hand_blob(connected_components(mask, origin=origin), seed)
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

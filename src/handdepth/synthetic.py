@@ -11,6 +11,7 @@ accuracy measurements.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -344,8 +345,8 @@ _HAND_KEYS = {f.name for f in fields(HandSpec)}
 _SCENE_KEYS = {f.name for f in fields(Scene)}
 
 
-def _numbers(items) -> bool:  # every item a JSON number, not a string or a boolean
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items)
+def _numbers(items) -> bool:  # every item a JSON number: no string or boolean, no int past a float
+    return all(isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in items)
 
 
 def hand_spec_from_dict(data: dict) -> HandSpec:
@@ -354,6 +355,9 @@ def hand_spec_from_dict(data: dict) -> HandSpec:
         raise ConfigError(f"unknown hand spec keys: {sorted(unknown)}")
     try:
         kwargs = dict(data)
+        count = kwargs.get("finger_count")
+        if type(count) is not int:  # not a float, and not a bool (an int subclass)
+            raise ValueError(f"finger_count must be an integer, got {count!r}")
         center = kwargs.get("palm_center")
         if not (isinstance(center, (list, tuple)) and len(center) == 2 and _numbers(center)):
             raise ValueError(f"palm_center must be two numbers, got {center!r}")
@@ -361,6 +365,10 @@ def hand_spec_from_dict(data: dict) -> HandSpec:
             value = kwargs.get(name, ())
             if not _numbers(value if isinstance(value, (list, tuple)) else [value]):
                 raise ValueError(f"{name} must be a number or one per finger, got {value!r}")
+        for name in ("palm_radius", "orientation_deg", "finger_spread_deg", "base_depth_cm",
+                     "tip_slope"):
+            if name in kwargs and not _numbers([kwargs[name]]):
+                raise ValueError(f"{name} must be a number, got {kwargs[name]!r}")
         kwargs["palm_center"] = tuple(center)
         return HandSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -377,6 +385,9 @@ def scene_from_dict(data: dict) -> Scene:
     if not (isinstance(size, (list, tuple)) and len(size) == 2
             and all(type(v) is int and v > 0 for v in size)):
         raise ConfigError(f"frame_size must be two positive integers, got {size!r}")
+    noise_seed = data.get("noise_seed", 0)
+    if type(noise_seed) is not int or noise_seed < 0:
+        raise ConfigError(f"noise_seed must be a non-negative integer, got {noise_seed!r}")
     try:
         hands = tuple(hand_spec_from_dict(h) for h in data.get("hands", []))
         if len(hands) > 2:
@@ -394,11 +405,11 @@ def scene_from_dict(data: dict) -> Scene:
             frame_size=tuple(size),
             background_depth_cm=background_depth_cm,
             dropout_rate=dropout_rate,
-            noise_seed=int(data.get("noise_seed", 0)),
+            noise_seed=noise_seed,
         )
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past any float
         raise ConfigError(f"bad scene: {exc}") from exc
 
 

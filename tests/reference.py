@@ -17,9 +17,29 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from handdepth import segmentation
-from handdepth.calibration import raw_to_cm
-from handdepth.segmentation import connected_components, depth_threshold, select_hand_blob
+from handdepth.calibration import RAW_CEILING, raw_to_cm
+from handdepth.errors import DomainError
+from handdepth.segmentation import connected_components, select_hand_blob
 from handdepth.tracking import HandId, _Track
+
+
+def valid_domain_stepping(h_rad: float, l_rad: float) -> int:
+    """The pole bound valid_domain computed before it became one array test, kept as its oracle.
+
+    Starts one below the real-valued bound (pi/2 - l) / h and steps down
+    a code at a time while round-off still puts ``h*raw + l`` at or past
+    pi/2.  It steps from the bound, not from the 11-bit ceiling, so it is
+    only usable where that bound is modest.
+    """
+    limit = (math.pi / 2 - l_rad) / h_rad
+    if limit <= 0:
+        raise DomainError("empty calibration domain")
+    bound = math.ceil(limit) - 1
+    while bound >= 0 and h_rad * bound + l_rad >= math.pi / 2:
+        bound -= 1
+    if bound < 0:
+        raise DomainError("empty calibration domain")
+    return min(bound, RAW_CEILING)
 
 
 def edt_bruteforce(mask: np.ndarray) -> np.ndarray:
@@ -237,10 +257,15 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
 def hand_blob_whole_frame(frame, seed, band_cm, params):
     """The seed's band blob as found before segment_hand, kept as its oracle.
 
-    Thresholds the band over the whole frame, labels every component of
-    it and keeps the one that holds the seed.
+    Thresholds the band over the whole frame in float centimetres (each
+    sample's depth against the seed's; NaN, an invalid sample, is never
+    inside), labels every component of it and keeps the one that holds
+    the seed.
     """
-    mask = depth_threshold(frame, seed, band_cm, params)
+    if band_cm <= 0:
+        raise ValueError("band_cm must be positive")
+    seed_cm = raw_to_cm(seed.depth_raw, params)  # DomainError for an invalid seed
+    mask = np.abs(params.cm_table[frame.samples] - seed_cm) <= band_cm
     return select_hand_blob(connected_components(mask), seed)
 
 
@@ -248,7 +273,9 @@ def segment_hand_path(frame, seed, band_cm, params):
     """Which array segment_hand labelled, and the blob it returned.
 
     "window" is the seed's slab blob's bbox (the mask handed over with
-    that bbox's origin), "frame" the whole frame.
+    that bbox's origin), "frame" the whole frame (origin (0, 0)).  When
+    the slab blob's bbox is the whole frame the two calls look the same,
+    and the path is None.
     """
     calls = []
 
@@ -260,10 +287,16 @@ def segment_hand_path(frame, seed, band_cm, params):
         mp.setattr(segmentation, "connected_components", recording)
         blob = segmentation.segment_hand(frame, seed, band_cm, params)
     (call,) = calls
+    whole = call == (frame.samples.shape, (0, 0))
     if seed.slab is not None and call == (seed.slab[0].mask.shape, seed.slab[0].bbox[:2]):
-        return "window", blob
-    assert call == (frame.samples.shape, None)
+        return None if whole else "window", blob
+    assert whole
     return "frame", blob
+
+
+def paths_agree(path, expected) -> bool:
+    """A path from segment_hand_path against one from expected_path; None matches either."""
+    return None in (path, expected) or path == expected
 
 
 def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
@@ -386,3 +419,18 @@ def edge_masks():
         mask[side] = True
         yield mask
         yield ~mask
+
+
+# What a JSON document can put where a number is expected: null, booleans,
+# strings, short lists and ints past any float.  List entries stay small,
+# so a list read as a frame size never renders a large frame.
+json_junk = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.integers(-(2**70), 2**70),
+    st.just(10**400),
+)
+# Any float, including NaN, the infinities and subnormals.
+any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)

@@ -7,14 +7,16 @@ import pytest
 from handdepth.calibration import (
     CalibrationParams,
     DEFAULT_CALIBRATION,
+    RAW_CEILING,
     RAW_SENTINEL,
     cm_per_raw,
     cm_to_raw,
-    depth_image_cm,
     raw_to_cm,
     valid_domain,
 )
 from handdepth.errors import DomainError
+
+from reference import valid_domain_stepping
 
 
 def reference_depth(raw: int, p: CalibrationParams = DEFAULT_CALIBRATION) -> float:
@@ -72,6 +74,52 @@ def test_valid_domain_clamps_to_raw_ceiling():
     assert valid_domain(params) == 2046
 
 
+def test_valid_domain_of_a_tiny_h_is_the_whole_range():
+    # the pole sits ~4e299 codes out, or past any float (h subnormal); no stepping down to it
+    for h_rad in (1e-300, 5e-324):
+        params = CalibrationParams(h_rad=h_rad, raw_valid_max=2046)
+        assert valid_domain(params) == 2046
+        table = params.cm_table[:2047]
+        assert np.isfinite(table).all() and np.ptp(table) == 0  # flat: every code one depth
+    with pytest.raises(DomainError):
+        cm_to_raw(150.0, CalibrationParams(h_rad=5e-324))  # maps to an infinite raw code
+
+
+def test_valid_domain_matches_the_stepping_oracle():
+    rng = np.random.default_rng(61)
+    cases = []
+    for _ in range(3000):  # the pole anywhere from below code 1 to 1e7 codes out, or before 0
+        l_rad = rng.uniform(-1.55, 1.6)
+        cases.append((abs(math.pi / 2 - l_rad) / 10 ** rng.uniform(-2, 7), l_rad))
+    for code in rng.integers(1, 2200, 1000):  # the pole at an integer code, and just off it
+        l_rad = rng.uniform(-1.55, 1.5)
+        h_rad = (math.pi / 2 - l_rad) / code
+        cases += [(h, l_rad) for h in (h_rad, h_rad * (1 + 1e-16), h_rad * (1 - 1e-16),
+                                       np.nextafter(h_rad, 0), np.nextafter(h_rad, 1))]
+    short = 0
+    for h_rad, l_rad in cases:
+        h_rad, l_rad = float(h_rad), float(l_rad)
+        limit = (math.pi / 2 - l_rad) / h_rad
+        if limit > 1e7:
+            continue
+        params = SimpleNamespace(h_rad=h_rad, l_rad=l_rad)
+        try:
+            want = valid_domain_stepping(h_rad, l_rad)
+        except DomainError:
+            with pytest.raises(DomainError):
+                valid_domain(params)
+            continue
+        got = valid_domain(params)
+        # the largest code before the pole, in the arithmetic the conversions use
+        assert h_rad * got + l_rad < math.pi / 2, (h_rad, l_rad)
+        assert got == RAW_CEILING or h_rad * (got + 1) + l_rad >= math.pi / 2, (h_rad, l_rad)
+        # The loop never tries codes past ceil(limit) - 1, so where round-off
+        # leaves ceil(limit) itself before the pole it stops one code short.
+        assert got == want or want == math.ceil(limit) - 1 == got - 1, (h_rad, l_rad)
+        short += got != want
+    assert 0 < short < len(cases) // 10  # only poles that land on a code
+
+
 def test_valid_domain_degenerate():
     degenerate = SimpleNamespace(h_rad=3.5e-4, l_rad=math.pi / 2)
     with pytest.raises(DomainError):
@@ -112,7 +160,8 @@ def test_cm_per_raw_matches_finite_differences():
 
 def test_depth_image_matches_scalar_path():
     samples = np.array([[0, 800, 1100], [1101, RAW_SENTINEL, 500]], dtype=np.uint16)
-    cm, valid = depth_image_cm(samples)
+    cm = DEFAULT_CALIBRATION.cm_table[samples]
+    valid = ~np.isnan(cm)
     assert valid.tolist() == [[True, True, True], [False, False, True]]
     assert cm[0, 0] == pytest.approx(raw_to_cm(0))
     assert cm[0, 1] == pytest.approx(raw_to_cm(800))

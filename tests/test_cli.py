@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import handdepth
 from handdepth import cli
 from handdepth.cli import main
 from handdepth.frame_io import read_pgm, write_pgm, write_raw
@@ -136,6 +141,18 @@ def test_detect_accepts_config(tmp_path, frame_dir):
     assert report.exists()
 
 
+@pytest.mark.parametrize("h", [1e-300, 5e-324])
+def test_tiny_h_detects_and_bench_exits_2(tmp_path, frame_dir, h):
+    # a child process with a timeout, so a hang fails the test instead of stalling the suite
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calibration": {"h": h}}))
+    env = {**os.environ, "PYTHONPATH": str(Path(handdepth.__file__).parents[1])}
+    for args, code in ((["detect", "--input", str(frame_dir)], 0), (["bench", "--generate", "1"], 2)):
+        done = subprocess.run([sys.executable, "-m", "handdepth.cli", *args, "--config", str(cfg)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == code and "Traceback" not in done.stderr
+
+
 def test_synth_scene_file_round_trip(tmp_path, scene):
     scene_file = tmp_path / "scenes.json"
     scene_file.write_text(json.dumps({"scenes": [scene_to_dict(scene)]}))
@@ -244,7 +261,11 @@ def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, caps
                   {**base, "hands": [{**base["hands"][0], "finger_count": 2,
                                       "finger_length": "45", "finger_width": "56"}]},
                   {**base, "hands": [{**base["hands"][0], "palm_center": "ab"}]},
-                  {**base, "hands": [{**base["hands"][0], "palm_center": [100, 100, 5]}]}):
+                  {**base, "hands": [{**base["hands"][0], "palm_center": [100, 100, 5]}]},
+                  {**base, "noise_seed": -1, "dropout_rate": 0.05}, {**base, "noise_seed": 1.7},
+                  {**base, "noise_seed": True},
+                  {**base, "hands": [{**base["hands"][0], "finger_count": True,
+                                      "finger_length": 32, "finger_width": 9}]}):
         scenes_file.write_text(json.dumps({"scenes": [entry]}))
         assert main(["synth", "--scenes", str(scenes_file), "--out-dir", str(out)]) == 2
         assert main(["bench", "--scenes", str(scenes_file)]) == 2

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handdepth.distance import PalmCenter
 from handdepth.errors import FormatError
@@ -132,6 +133,54 @@ def test_raw_round_trips():
     for _ in range(20):
         frame = random_frame(rng)
         assert read_raw(write_raw(frame), frame.width, frame.height) == frame
+
+
+# --- arbitrary bytes ---
+
+@st.composite
+def damaged_pgms(draw):
+    """A valid 16-bit PGM, whole, cut short, or with one header byte changed."""
+    width, height = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    header = f"P5\n{width} {height}\n{draw(st.sampled_from([256, 2047, 65535]))}\n".encode()
+    payload = draw(st.binary(min_size=2 * width * height, max_size=2 * width * height + 3))
+    data = bytearray(header + payload)
+    edit = draw(st.sampled_from(["none", "cut", "byte"]))
+    if edit == "cut":
+        del data[draw(st.integers(0, len(data) - 1)):]
+    elif edit == "byte":
+        data[draw(st.integers(0, len(header) - 1))] = draw(st.integers(0, 255))
+    return bytes(data)
+
+
+# PGM-like headers: width, height and maxval tokens that may be huge or junk.
+header_tokens = st.one_of(st.integers(-3, 10**20).map(str), st.text("0123456789+-.x#\n ", max_size=6))
+junk_header_pgms = st.builds(
+    lambda w, h, maxval, sep, payload: f"P5 {w} {h} {maxval}".encode() + sep + payload,
+    header_tokens, header_tokens, header_tokens,
+    st.sampled_from([b"\n", b" ", b"", b"x"]),
+    st.binary(max_size=80),
+)
+fuzz = settings(max_examples=400, derandomize=True, database=None, deadline=None)
+
+
+@fuzz
+@given(st.one_of(st.binary(max_size=64), damaged_pgms(), junk_header_pgms))
+def test_read_pgm_raises_only_format_error(data):
+    try:
+        frame, clamped = read_pgm(data)
+    except FormatError:
+        return
+    assert 0 <= clamped <= frame.samples.size and int(frame.samples.max()) <= 2047
+
+
+@fuzz
+@given(st.binary(max_size=200), st.integers(1, 12), st.one_of(st.integers(1, 12), st.integers(1, 10**12)))
+def test_read_raw_raises_only_format_error(data, width, height):
+    try:
+        frame = read_raw(data, width, height)
+    except FormatError:
+        return
+    assert frame.samples.shape == (height, width)
 
 
 # --- DepthFrame validation ---

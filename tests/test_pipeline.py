@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from handdepth import pipeline
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw
@@ -26,7 +26,9 @@ from reference import (
     blob_key,
     deterministic,
     expected_path,
+    any_float,
     hand_blob_whole_frame,
+    json_junk,
     segment_hand_path,
 )
 
@@ -211,6 +213,50 @@ def test_config_rejects_bad_values():
                 config_from_dict({key: value})
     numpy_values = PipelineConfig(band_cm=12, slab_cm=np.float64(18.5), max_hands=np.int64(1))
     assert numpy_values.max_hands == 1
+
+
+calibration_dicts = st.fixed_dictionaries({}, optional={
+    "h": st.one_of(st.floats(0, 1e-300), st.floats(1e-6, 1e-3)),  # down to subnormals
+    "k": st.floats(0.5, 30),
+    "l": st.floats(-1.6, 1.6),
+    "o": st.floats(-10, 10),
+    "raw_valid_max": st.integers(-5, 2100),
+})
+plausible_configs = st.fixed_dictionaries({"calibration": calibration_dicts}, optional={
+    "band_cm": st.floats(0.5, 40),
+    "slab_cm": st.floats(0.5, 40),
+    "min_area": st.integers(-2, 300),
+    "radius_factor": st.floats(0, 1),
+    "min_finger_area": st.integers(-2, 50),
+    "max_hands": st.integers(0, 3),
+    "max_misses": st.integers(0, 6),
+})
+CALIBRATION_KEYS = ("h", "k", "l", "o", "raw_valid_max", "gain")
+CONFIG_KEYS = ("calibration", "band_cm", "slab_cm", "min_area", "radius_factor",
+               "min_finger_area", "max_hands", "max_misses", "workers")
+
+
+@st.composite
+def config_dicts(draw):
+    """A config of plausible values with up to two entries set to junk (unknown keys too)."""
+    doc = draw(plausible_configs)
+    calibration = doc["calibration"]
+    for key in draw(st.lists(st.sampled_from(CALIBRATION_KEYS + CONFIG_KEYS), max_size=2)):
+        (calibration if key in CALIBRATION_KEYS else doc)[key] = draw(st.one_of(any_float, json_junk))
+    return doc
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(config_dicts())
+def test_config_from_dict_raises_only_config_error(data):
+    try:
+        config = config_from_dict(data)
+    except ConfigError:
+        return
+    # an accepted config runs; a calibration may make detection find nothing
+    frame = DepthFrame(np.full((24, 32), 1400, dtype=np.uint16))
+    frame.samples[6:18, 8:20] = 700
+    list(run_pipeline([frame], config))
 
 
 def test_max_hands_one_reports_single():

@@ -9,14 +9,13 @@ from handdepth.calibration import (
     RAW_SENTINEL,
     CalibrationParams,
     cm_to_raw,
-    depth_image_cm,
     raw_to_cm,
 )
 from handdepth.segmentation import (
     HandSeed,
+    _band_table,
     _table_mask,
     connected_components,
-    depth_threshold,
     fill_holes,
     find_hand_seeds,
     label_image,
@@ -34,6 +33,7 @@ from reference import (
     hand_blob_whole_frame,
     label_rowwise,
     masks,
+    paths_agree,
     placed,
     random_mask,
     segment_hand_path,
@@ -189,25 +189,30 @@ def uniform_frame(raw: int, shape=(6, 8)) -> DepthFrame:
     return DepthFrame(np.full(shape, raw, dtype=np.uint16))
 
 
+def band_mask(frame, seed, band_cm, params=DEFAULT_CALIBRATION):
+    """The seed's band over the whole frame, as segment_hand thresholds it."""
+    return _table_mask(_band_table(seed, band_cm, params), frame.samples)
+
+
 def test_threshold_uniform_frame_all_foreground():
     frame = uniform_frame(700)
     seed = HandSeed(x=2, y=3, depth_raw=700)
-    assert depth_threshold(frame, seed, 15.0).all()
+    assert band_mask(frame, seed, 15.0).all()
 
 
 def test_threshold_excludes_sentinel():
     samples = np.full((5, 5), RAW_SENTINEL, dtype=np.uint16)
     samples[2, 2] = 700
-    mask = depth_threshold(DepthFrame(samples), HandSeed(2, 2, 700), 15.0)
+    mask = band_mask(DepthFrame(samples), HandSeed(2, 2, 700), 15.0)
     assert mask[2, 2] and mask.sum() == 1
 
 
 def test_threshold_invalid_seed():
     frame = uniform_frame(700)
     with pytest.raises(DomainError):
-        depth_threshold(frame, HandSeed(0, 0, RAW_SENTINEL), 15.0)
+        segment_hand(frame, HandSeed(0, 0, RAW_SENTINEL), 15.0)
     with pytest.raises(ValueError):
-        depth_threshold(frame, HandSeed(0, 0, 700), 0.0)
+        segment_hand(frame, HandSeed(0, 0, 700), 0.0)
 
 
 def test_threshold_recovers_synthetic_support_exactly():
@@ -224,7 +229,7 @@ def test_threshold_recovers_synthetic_support_exactly():
     frame, truth = render_hand(spec, (160, 140), 200)
     seed_raw = int(frame.samples[truth.palm_center[1], truth.palm_center[0]])
     seed = HandSeed(*truth.palm_center, depth_raw=seed_raw)
-    mask = depth_threshold(frame, seed, 15.0)
+    mask = band_mask(frame, seed, 15.0)
     assert (mask == truth.support).all()
 
 
@@ -233,10 +238,10 @@ def test_threshold_idempotent_on_its_own_output():
     samples = rng.integers(600, 1100, size=(12, 12), dtype=np.uint16)
     frame = DepthFrame(samples)
     seed = HandSeed(4, 4, int(samples[4, 4]))
-    mask = depth_threshold(frame, seed, 8.0)
+    mask = band_mask(frame, seed, 8.0)
     # re-threshold a frame where the mask sits exactly at the seed depth
     requantized = np.where(mask, seed.depth_raw, RAW_SENTINEL).astype(np.uint16)
-    again = depth_threshold(DepthFrame(requantized), seed, 8.0)
+    again = band_mask(DepthFrame(requantized), seed, 8.0)
     assert (again == mask).all()
 
 
@@ -349,7 +354,7 @@ def seeds_and_paths(frame, band_cm=15.0, slab_cm=20.0, min_area=50, params=DEFAU
     for seed in find_hand_seeds(frame, 2, min_area, slab_cm, params):
         path, blob = segment_hand_path(frame, seed, band_cm, params)
         assert blob_key(blob) == blob_key(hand_blob_whole_frame(frame, seed, band_cm, params))
-        assert expected_path(frame, seed, band_cm, slab_cm, params) in (path, None)
+        assert paths_agree(path, expected_path(frame, seed, band_cm, slab_cm, params))
         out.append((seed, path, blob))
     return out
 
@@ -500,8 +505,9 @@ def test_fill_holes_random_masks_match_oracle(mask):
 
 
 def float_band_mask(samples, seed_raw, band_cm, params):
-    """depth_threshold computed through a float cm image of the whole frame."""
-    cm, valid = depth_image_cm(samples, params)
+    """The band mask computed through a float cm image of the whole frame."""
+    cm = params.cm_table[samples]
+    valid = ~np.isnan(cm)
     mask = np.zeros(valid.shape, dtype=bool)
     mask[valid] = np.abs(cm[valid] - raw_to_cm(seed_raw, params)) <= band_cm
     return mask
@@ -512,7 +518,7 @@ def float_hand_seeds(samples, max_hands, min_area, slab_cm, params):
     valid = samples <= params.raw_valid_max
     if not valid.any():
         return NotFoundError
-    cm, _ = depth_image_cm(samples, params)
+    cm = params.cm_table[samples]
     fg = np.zeros(valid.shape, dtype=bool)
     fg[valid] = cm[valid] <= raw_to_cm(int(samples[valid].min()), params) + slab_cm
     labels, stats = label_rowwise(fg)
@@ -547,7 +553,7 @@ def test_thresholds_match_float_image_on_every_raw_value():
             frame = DepthFrame(samples)
             for seed_raw in (0, 1, 517, 804, params.raw_valid_max - 1, params.raw_valid_max):
                 for band_cm in (0.3, 15.0, 400.0):
-                    got = depth_threshold(frame, HandSeed(0, 0, seed_raw), band_cm, params)
+                    got = band_mask(frame, HandSeed(0, 0, seed_raw), band_cm, params)
                     assert np.array_equal(got, float_band_mask(samples, seed_raw, band_cm, params))
             for slab_cm in (0.05, 20.0, 300.0):
                 for max_hands, min_area in ((1, 1), (2, 2), (2, 40)):

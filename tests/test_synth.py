@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from handdepth.calibration import RAW_SENTINEL, cm_to_raw
-from handdepth.errors import ConfigError, GeometryError
+from handdepth.errors import ConfigError, GeometryError, HandDepthError
 from handdepth.synthetic import (
     HandSpec,
     Scene,
@@ -18,6 +19,8 @@ from handdepth.synthetic import (
     scene_from_dict,
     scene_to_dict,
 )
+
+from reference import any_float, json_junk
 
 
 def basic_spec(**overrides) -> HandSpec:
@@ -230,13 +233,72 @@ def test_scene_unknown_keys_rejected():
                 {"hands": [{**hand, "palm_center": "ab"}]},
                 {"hands": [{**hand, "palm_center": [100, 100, 5]}]},
                 {"hands": [{**hand, "palm_center": [100, "100"]}]},
-                {"hands": [{k: v for k, v in hand.items() if k != "palm_center"}]}):
+                {"hands": [{k: v for k, v in hand.items() if k != "palm_center"}]},
+                {"hands": [], "noise_seed": -1}, {"hands": [], "noise_seed": 1.7},
+                {"hands": [], "noise_seed": True}, {"hands": [], "noise_seed": "3"},
+                {"hands": [{**hand, "finger_count": True, "finger_length": 30, "finger_width": 5}]},
+                {"hands": [{**hand, "finger_count": 1.0, "finger_length": 30, "finger_width": 5}]}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
     scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders
     with pytest.raises(ConfigError):
         hand_spec_from_dict({"palm_center": [1, 1], "palm_radius": 5,
                              "finger_count": 0, "color": "red"})
+
+
+plausible_hands = st.fixed_dictionaries(
+    {
+        "palm_center": st.lists(st.floats(4, 40), min_size=2, max_size=2),
+        "palm_radius": st.floats(1, 12),
+        "finger_count": st.integers(0, 5),
+        "finger_length": st.floats(1, 10),  # a list of the wrong length comes as junk
+        "finger_width": st.floats(1, 4),
+    },
+    optional={
+        "orientation_deg": st.floats(-720, 720),
+        "finger_spread_deg": st.floats(-10, 100),
+        "base_depth_cm": st.floats(10, 400),
+        "tip_slope": st.floats(-1, 20),
+    },
+)
+plausible_scenes = st.fixed_dictionaries(
+    {
+        "hands": st.lists(plausible_hands, min_size=1, max_size=3),
+        "frame_size": st.lists(st.integers(8, 72), min_size=2, max_size=2),  # small frames only
+    },
+    optional={
+        "background_depth_cm": st.floats(10, 600),
+        "dropout_rate": st.floats(-0.5, 1.5),
+        "noise_seed": st.integers(-5, 2**70),
+    },
+)
+HAND_KEYS = ("palm_center", "palm_radius", "finger_count", "finger_length", "finger_width",
+             "orientation_deg", "finger_spread_deg", "base_depth_cm", "tip_slope", "nails")
+SCENE_KEYS = ("hands", "frame_size", "background_depth_cm", "dropout_rate", "noise_seed", "sensor")
+
+
+@st.composite
+def scene_dicts(draw):
+    """A scene of plausible values with up to two entries set to junk (unknown keys too)."""
+    doc = draw(plausible_scenes)
+    for key in draw(st.lists(st.sampled_from(HAND_KEYS + SCENE_KEYS), max_size=2)):
+        hands = doc.get("hands")
+        where = hands[0] if key in HAND_KEYS and isinstance(hands, list) and hands else doc
+        where[key] = draw(st.one_of(any_float, json_junk))
+    return doc
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(scene_dicts())
+def test_scene_from_dict_and_render_raise_only_package_errors(data):
+    try:
+        scene = scene_from_dict(data)
+    except ConfigError:
+        return
+    try:
+        scene.render()
+    except HandDepthError:
+        pass
 
 
 def test_corpus_is_seeded_and_in_range():
