@@ -25,10 +25,9 @@ from .errors import (
     FormatError,
     GeometryError,
     HandDepthError,
-    NoValidDepthError,
     NotFoundError,
 )
-from .fingertips import Fingertip, detect_fingertips, tips_toward_camera_margin
+from .fingertips import Fingertip, detect_fingertips
 from .frame_io import (
     DepthFrame,
     DetectionReport,

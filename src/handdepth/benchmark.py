@@ -37,6 +37,19 @@ class SceneScore:
     palm_error_fractions: list[float] = field(default_factory=list)
 
 
+def _greedy_pairs(pairs: list[tuple[float, int, int]]) -> list[tuple[float, int, int]]:
+    """Greedy nearest-first matching: each ``(dist, a, b)`` in order, if both ends are free."""
+    used_a: set[int] = set()
+    used_b: set[int] = set()
+    taken = []
+    for dist, a, b in sorted(pairs):
+        if a not in used_a and b not in used_b:
+            used_a.add(a)
+            used_b.add(b)
+            taken.append((dist, a, b))
+    return taken
+
+
 def _match_tips(
     detected: list[tuple[int, int]],
     truth: GroundTruth,
@@ -49,17 +62,8 @@ def _match_tips(
             dist = math.hypot(dx - tx, dy - ty)
             if dist <= tol:
                 pairs.append((dist, ti, di))
-    pairs.sort()
-    used_true: set[int] = set()
-    used_det: set[int] = set()
-    errors = []
-    for dist, ti, di in pairs:
-        if ti in used_true or di in used_det:
-            continue
-        used_true.add(ti)
-        used_det.add(di)
-        errors.append(dist)
-    return len(used_true), errors
+    taken = _greedy_pairs(pairs)
+    return len(taken), [dist for dist, _, _ in taken]
 
 
 def score_scene(observations: list[HandObservation], truths: list[GroundTruth]) -> SceneScore:
@@ -78,14 +82,7 @@ def score_scene(observations: list[HandObservation], truths: list[GroundTruth]) 
         cx, cy = truth.palm_center
         for oi, (palm, _tips, _blob) in enumerate(observations):
             pairs.append((math.hypot(palm.x - cx, palm.y - cy), ti, oi))
-    pairs.sort()
-    used_truth: set[int] = set()
-    used_obs: set[int] = set()
-    for dist, ti, oi in pairs:
-        if ti in used_truth or oi in used_obs:
-            continue
-        used_truth.add(ti)
-        used_obs.add(oi)
+    for dist, ti, oi in _greedy_pairs(pairs):
         truth = truths[ti]
         palm, tips, _blob = observations[oi]
         frac = dist / truth.palm_radius
@@ -137,31 +134,29 @@ def _accumulate(into: SceneScore, part: SceneScore) -> None:
         setattr(into, f.name, getattr(into, f.name) + getattr(part, f.name))
 
 
+def _mean_max(values: list[float]) -> tuple[float | None, float | None]:
+    return (sum(values) / len(values), max(values)) if values else (None, None)
+
+
 def _tip_block(s: SceneScore) -> dict:
+    mean, worst = _mean_max(s.tip_errors_px)
     return {
         "true": s.true_tips,
         "detected": s.detected_tips,
         "matched": s.matched_tips,
         "recall": _rate(s.matched_tips, s.true_tips),
         "precision": _rate(s.matched_tips, s.detected_tips),
-        "error_px_mean": (sum(s.tip_errors_px) / len(s.tip_errors_px))
-        if s.tip_errors_px
-        else None,
-        "error_px_max": max(s.tip_errors_px) if s.tip_errors_px else None,
+        "error_px_mean": mean,
+        "error_px_max": worst,
     }
 
 
 def _palm_block(s: SceneScore) -> dict:
+    mean, worst = _mean_max(s.palm_error_fractions)
     return {
         "hands": s.hands,
         "within_tolerance": s.palm_hits,
         "fraction": _rate(s.palm_hits, s.hands),
-        "error_fraction_mean": (
-            sum(s.palm_error_fractions) / len(s.palm_error_fractions)
-        )
-        if s.palm_error_fractions
-        else None,
-        "error_fraction_max": max(s.palm_error_fractions)
-        if s.palm_error_fractions
-        else None,
+        "error_fraction_mean": mean,
+        "error_fraction_max": worst,
     }

@@ -38,9 +38,5 @@ class DegenerateHandError(HandDepthError):
     """Hand mask is nowhere thicker than one pixel; no palm to center on."""
 
 
-class NoValidDepthError(HandDepthError):
-    """A mask contains no pixel with a usable depth sample."""
-
-
 class GeometryError(HandDepthError):
     """Synthetic scene geometry leaves the frame or overlaps itself."""

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .errors import NoValidDepthError
 from .segmentation import Blob
 
 
@@ -51,20 +50,3 @@ def detect_fingertips(
             continue
         tips.append(Fingertip(x=x, y=y, depth_cm=raw_to_cm(lowest, params), finger_index=index))
     return tips
-
-
-def tips_toward_camera_margin(
-    samples: np.ndarray,
-    finger: Blob,
-    params: CalibrationParams = DEFAULT_CALIBRATION,
-) -> int:
-    """Gap in raw units between a finger's two shallowest distinct depths.
-
-    Zero flags an ambiguous minimum (a flat or fully bent finger whose
-    tip cannot be trusted); diagnostics use it to explain misses.
-    """
-    vals = samples[finger.box][finger.mask]
-    distinct = np.unique(vals[vals <= params.raw_valid_max])
-    if distinct.size == 0:
-        raise NoValidDepthError("finger has no usable depth samples")
-    return int(distinct[1]) - int(distinct[0]) if distinct.size > 1 else 0

@@ -28,6 +28,11 @@ hence in it: the component never leaves the blob, and the bbox holds
 all of it.  When the band reaches past the slab (a hand more than
 slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm), or
 the seed carries no slab, the window is the whole frame.
+
+fill_holes labels the hand crop's background runs with 4-connectivity,
+with no padding: pixels past the crop's border count as background, so
+a background component is outside when any of its runs touches the
+border, and every other component is a hole.
 """
 
 from __future__ import annotations
@@ -151,20 +156,6 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
         np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
     )
     return roots, flat, (run_y, start, end, component)
-
-
-def label_image(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, int]:
-    """Label connected foreground components; 0 marks background.
-
-    Works on horizontal runs merged across adjacent rows with union-find,
-    so cost scales with the number of runs, not pixels.  Labels start at 1
-    and are assigned in raster order of each component's first pixel,
-    which makes the result deterministic.
-    """
-    roots, flat, (_, start, end, component) = _label_runs(mask, connectivity)
-    labels = np.zeros(np.shape(mask), dtype=np.int32)
-    labels.ravel()[flat] = np.repeat(component + 1, end - start)  # the runs in flat order
-    return labels, len(roots)
 
 
 def connected_components(
@@ -309,9 +300,14 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     background right next to the palm center).  Background is traced with
     4-connectivity, the proper dual of 8-connected foreground.
 
-    The padding ring is one 4-connected background component holding
-    pixel (0, 0), so raster-order labelling always numbers it 1.
+    Pixels past the border count as background, so a background
+    component is outside exactly when one of its runs touches the border;
+    every other component is a hole.  The input is not written to.
     """
-    padded = np.pad(mask, 1, constant_values=False)
-    labels, _ = label_image(~padded, connectivity=4)
-    return labels[1:-1, 1:-1] != 1
+    filled = np.array(mask, dtype=bool)
+    h, w = filled.shape
+    roots, flat, (run_y, start, end, component) = _label_runs(~filled, connectivity=4)
+    outside = np.zeros(len(roots), dtype=bool)
+    outside[component[(run_y == 0) | (run_y == h - 1) | (start == 0) | (end == w)]] = True
+    filled.ravel()[flat[np.repeat(~outside[component], end - start)]] = True
+    return filled

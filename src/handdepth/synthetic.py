@@ -392,6 +392,9 @@ def scene_from_dict(data: dict) -> Scene:
         hands = tuple(hand_spec_from_dict(h) for h in data.get("hands", []))
         if len(hands) > 2:
             raise ConfigError(f"a scene holds at most two hands, got {len(hands)}")
+        for name in ("dropout_rate", "background_depth_cm"):
+            if name in data and not _numbers([data[name]]):
+                raise ConfigError(f"{name} must be a number, got {data[name]!r}")
         dropout_rate = float(data.get("dropout_rate", 0.0))
         if not 0 <= dropout_rate < 1:
             raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")

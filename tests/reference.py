@@ -254,6 +254,18 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
     ]
 
 
+def fill_holes_padded(mask: np.ndarray) -> np.ndarray:
+    """The hole fill fill_holes used before it read the crop's own runs, kept as its oracle.
+
+    Pads the mask with one ring of background and labels the padded
+    background 4-connected.  The ring holds pixel (0, 0), so raster-order
+    labelling numbers its component 1; every other pixel is kept.
+    """
+    padded = np.pad(mask, 1, constant_values=False)
+    labels, _ = label_rowwise(~padded, 4)
+    return labels[1:-1, 1:-1] != 1
+
+
 def hand_blob_whole_frame(frame, seed, band_cm, params):
     """The seed's band blob as found before segment_hand, kept as its oracle.
 

@@ -263,7 +263,9 @@ def test_out_of_range_dropout_and_three_hand_scenes_exit_2(tmp_path, scene, caps
                   {**base, "hands": [{**base["hands"][0], "palm_center": "ab"}]},
                   {**base, "hands": [{**base["hands"][0], "palm_center": [100, 100, 5]}]},
                   {**base, "noise_seed": -1, "dropout_rate": 0.05}, {**base, "noise_seed": 1.7},
-                  {**base, "noise_seed": True},
+                  {**base, "noise_seed": True}, {**base, "dropout_rate": "0.05"},
+                  {**base, "dropout_rate": False}, {**base, "background_depth_cm": " 250 "},
+                  {**base, "background_depth_cm": True},
                   {**base, "hands": [{**base["hands"][0], "finger_count": True,
                                       "finger_length": 32, "finger_width": 9}]}):
         scenes_file.write_text(json.dumps({"scenes": [entry]}))

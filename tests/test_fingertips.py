@@ -3,8 +3,7 @@ import pytest
 
 from handdepth.calibration import RAW_SENTINEL, raw_to_cm
 from handdepth.distance import distance_transform, find_palm_center
-from handdepth.errors import NoValidDepthError
-from handdepth.fingertips import detect_fingertips, tips_toward_camera_margin
+from handdepth.fingertips import detect_fingertips
 from handdepth.frame_io import DepthFrame
 from handdepth.morphology import extract_palm, finger_masks
 from handdepth.segmentation import connected_components
@@ -121,36 +120,3 @@ def test_synthetic_tips_found_exactly():
     fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
     tips = detect_fingertips(frame.samples, fingers)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)
-
-
-def test_margin_basics():
-    frame = frame_of([[100, 105, 105]])
-    finger = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
-    assert tips_toward_camera_margin(frame.samples, finger) == 5
-    flat = frame_of([[300, 300, 300]])
-    assert tips_toward_camera_margin(flat.samples, finger) == 0
-    dead = frame_of([[RAW_SENTINEL, RAW_SENTINEL, RAW_SENTINEL]])
-    with pytest.raises(NoValidDepthError):
-        tips_toward_camera_margin(dead.samples, finger)
-    # only the finger's own pixels count, not the rest of its bbox
-    corner = mask_at((2, 2), [(0, 0), (1, 1)])
-    assert tips_toward_camera_margin(frame_of([[100, 1], [2, 103]]).samples, corner) == 3
-
-
-def test_margin_on_synthetic_finger():
-    spec = HandSpec(
-        palm_center=(70, 70),
-        palm_radius=20,
-        finger_count=1,
-        finger_length=26,
-        finger_width=8,
-        orientation_deg=20,
-        base_depth_cm=80,
-        tip_slope=2,
-    )
-    frame, truth = render_hand(spec, (140, 140), 160)
-    dist = distance_transform(truth.support)
-    center = find_palm_center(dist, truth.support)
-    palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    (finger,) = finger_masks(truth.support, palm, 12, (center.x, center.y))
-    assert tips_toward_camera_margin(frame.samples, finger) >= 1

@@ -18,7 +18,6 @@ from handdepth.segmentation import (
     connected_components,
     fill_holes,
     find_hand_seeds,
-    label_image,
     segment_hand,
     select_hand_blob,
 )
@@ -29,6 +28,7 @@ from reference import (
     deterministic,
     edge_masks,
     expected_path,
+    fill_holes_padded,
     flood_fill_components,
     hand_blob_whole_frame,
     label_rowwise,
@@ -125,15 +125,13 @@ def labelling_cases():
 def assert_labelling_matches_oracles(mask):
     for conn in (8, 4):
         ref_labels, ref_stats = label_rowwise(mask, conn)
-        labels, count = label_image(mask, conn)
-        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels)
-        assert count == len(ref_stats)
         blobs = connected_components(mask, conn)
+        assert len(blobs) == len(ref_stats)
         got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
         assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
         assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
         # each bbox mask, laid at its bbox, is exactly the component's pixels
-        assert all(np.array_equal(placed(b, mask.shape), labels == b.label) for b in blobs)
+        assert all(np.array_equal(placed(b, mask.shape), ref_labels == b.label) for b in blobs)
         # flood fill finds components in raster order of their first pixel
         assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask, conn)
 
@@ -174,8 +172,9 @@ def test_run_finding_edge_masks_match_oracles():
 def test_run_ending_at_the_last_column_does_not_join_the_next_row():
     mask = np.zeros((2, 5), dtype=bool)
     mask[0, 3:] = mask[1, :2] = True
-    labels, count = label_image(mask)
-    assert count == 2
+    blobs = connected_components(mask)
+    assert len(blobs) == 2
+    labels = sum(b.label * placed(b, mask.shape) for b in blobs)
     assert labels.tolist() == [[0, 0, 0, 1, 1], [2, 2, 0, 0, 0]]
 
 
@@ -485,23 +484,59 @@ def fill_holes_oracle(mask):
     return filled[1:-1, 1:-1]
 
 
-def assert_fill_matches_oracle(mask):
+def assert_fill_matches_oracles(mask):
+    before = mask.copy()
     got = fill_holes(mask)
+    assert np.array_equal(mask, before)  # the input is not written to
     assert got.dtype == bool and got.shape == mask.shape
-    assert (got == fill_holes_oracle(mask)).all()
+    assert np.array_equal(got, fill_holes_oracle(mask))
+    assert np.array_equal(got, fill_holes_padded(mask))
 
 
 def test_fill_holes_edge_masks_match_oracle():
     ring = np.ones((5, 5), dtype=bool)
     ring[2, 2] = False  # a hole in a mask that covers the whole border
     for mask in [*edge_masks(), ring, ~ring]:
-        assert_fill_matches_oracle(mask)
+        assert_fill_matches_oracles(mask)
+
+
+def test_fill_holes_border_contact_cases():
+    # a hole that meets the border background only at a corner stays a hole
+    corner = np.ones((5, 6), dtype=bool)
+    corner[[0, 1, 4, 3], [0, 1, 5, 4]] = False
+    filled = np.ones_like(corner)
+    filled[[0, 4], [0, 5]] = False
+    assert np.array_equal(fill_holes(corner), filled)
+    # a bay reaching only the last column, or only the last row, stays open
+    last_col = np.ones((5, 6), dtype=bool)
+    last_col[2, 2:] = False
+    last_row = np.ones((5, 6), dtype=bool)
+    last_row[2:, 3] = False
+    rng = np.random.default_rng(59)
+    lines = [rng.random((1, 23)) < 0.5, rng.random((23, 1)) < 0.5]
+    flat = [np.ones((4, 7), dtype=bool), np.zeros((4, 7), dtype=bool)]
+    for mask in [last_col, last_row, *lines, *flat]:
+        assert np.array_equal(fill_holes(mask), mask)
+    for mask in [corner, last_col, last_row, *lines, *flat]:
+        assert_fill_matches_oracles(mask)
+
+
+def test_fill_holes_leaves_the_shared_blob_buffer_alone():
+    mask = np.zeros((6, 12), dtype=bool)
+    mask[1:5, 1:5] = mask[1:5, 7:11] = True
+    mask[2, 2] = mask[3, 9] = False  # one hole in each blob
+    blobs = connected_components(mask)
+    before = [b.mask.copy() for b in blobs]
+    assert blobs[0].mask.base is blobs[1].mask.base  # both views into one buffer
+    for blob in blobs:
+        assert fill_holes(blob.mask).all()
+    assert all(np.array_equal(b.mask, m) for b, m in zip(blobs, before))
 
 
 @deterministic
 @given(masks)
 def test_fill_holes_random_masks_match_oracle(mask):
-    assert_fill_matches_oracle(mask)
+    assert_fill_matches_oracles(mask)
 
 
 def float_band_mask(samples, seed_raw, band_cm, params):

@@ -237,7 +237,10 @@ def test_scene_unknown_keys_rejected():
                 {"hands": [], "noise_seed": -1}, {"hands": [], "noise_seed": 1.7},
                 {"hands": [], "noise_seed": True}, {"hands": [], "noise_seed": "3"},
                 {"hands": [{**hand, "finger_count": True, "finger_length": 30, "finger_width": 5}]},
-                {"hands": [{**hand, "finger_count": 1.0, "finger_length": 30, "finger_width": 5}]}):
+                {"hands": [{**hand, "finger_count": 1.0, "finger_length": 30, "finger_width": 5}]},
+                {"hands": [], "dropout_rate": "0.5"}, {"hands": [], "dropout_rate": False},
+                {"hands": [], "background_depth_cm": " 250 "},
+                {"hands": [], "background_depth_cm": True}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
     scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders
