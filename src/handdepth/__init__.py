@@ -48,7 +48,7 @@ from .morphology import (
     finger_masks,
     opening,
 )
-from .pipeline import PipelineConfig, config_from_dict, config_to_dict, extract_hands, run_pipeline
+from .pipeline import PipelineConfig, config_from_dict, extract_hands, run_pipeline
 from .segmentation import (
     Blob,
     HandSeed,

@@ -115,7 +115,7 @@ def _load_scenes(path: str) -> list[Scene]:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read scene file {path}: {exc}") from exc
-    if not isinstance(data, dict) or "scenes" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("scenes"), list):
         raise ConfigError('scene file must be an object with a "scenes" array')
     return [scene_from_dict(s) for s in data["scenes"]]
 
@@ -123,6 +123,8 @@ def _load_scenes(path: str) -> list[Scene]:
 def _generate_corpus(n_scenes: int, args: argparse.Namespace) -> list[Scene]:
     if n_scenes < 1:
         raise ConfigError(f"--generate needs N >= 1, got {n_scenes}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     if not 0 <= args.dropout < 1:
         raise ConfigError(f"--dropout must lie in [0, 1), got {args.dropout}")
     return build_corpus(n_scenes, seed=args.seed, dropout_rate=args.dropout)

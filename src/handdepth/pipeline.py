@@ -106,14 +106,6 @@ def config_from_dict(data: dict) -> PipelineConfig:
         raise ConfigError(f"bad config: {exc}") from exc
 
 
-def config_to_dict(config: PipelineConfig) -> dict:
-    doc = {f.name: getattr(config, f.name) for f in fields(PipelineConfig)}
-    doc["calibration"] = {
-        key: getattr(config.calibration, attr) for key, attr in _CALIBRATION_KEYS.items()
-    }
-    return doc
-
-
 def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> HandObservation:
     """Palm center and fingertips of one segmented hand blob."""
     # The exact bbox: every per-hand stage treats pixels outside it as background.

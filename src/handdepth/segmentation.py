@@ -11,11 +11,14 @@ interval of raw values, and the mask is one uint16 interval compare on
 the samples; a table whose codes are not contiguous falls back to a
 lookup.  Labelling takes all runs of a mask from its flat foreground
 indices (a run breaks at a jump or a row start), finds the runs that
-touch across rows by binary search, merges them with union-find, and
-takes component stats from the same runs (run-based labelling, He,
-Chao & Suzuki, IEEE TIP 2008).  Each component is its bbox and a
-boolean mask of the bbox's shape, painted from its own runs; no
-frame-sized label image is built for it.
+touch across rows by binary search, merges them by hook and compress
+(Shiloach & Vishkin, J. Algorithms 1982): each round, every root joined
+to another hooks onto the least root it touches and pointers jump to the
+roots, until no pair joins two roots.  A hook only goes to a smaller run
+index, so a root is its component's first run in raster order.  Stats
+come from the same runs (run-based labelling, He, Chao & Suzuki, IEEE
+TIP 2008).  Each component is its bbox and a boolean mask of the bbox's
+shape, painted from its own runs; no frame-sized label image is built.
 
 The whole frame is labelled once, for the slab.  segment_hand then
 takes one path for every seed: it builds the band's table over raw
@@ -134,27 +137,18 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
     pair_j = np.repeat(np.arange(count.size), count)
     pair_i = np.arange(pair_j.size) + np.repeat(lo + count - np.cumsum(count), count)
 
-    parent = list(range(count.size))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(pair_i.tolist(), pair_j.tolist()):
-        ri, rj = find(i), find(j)
-        # keep the smaller (earlier, raster-order) index as root
-        if ri < rj:
-            parent[rj] = ri
-        elif rj < ri:
-            parent[ri] = rj
-
-    # A root is its component's first run, so sorted roots number the
-    # components in raster order of their first pixel.
-    roots, component = np.unique(
-        np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
-    )
+    # Hook and compress (see the module docstring).  Every run points at a
+    # root; each round keeps only the pairs whose roots still differ.
+    parent = np.arange(count.size)
+    while pair_i.size:
+        pair_i, pair_j = parent[pair_i], parent[pair_j]
+        joins = pair_i != pair_j
+        pair_i, pair_j = pair_i[joins], pair_j[joins]
+        np.minimum.at(parent, np.maximum(pair_i, pair_j), np.minimum(pair_i, pair_j))
+        jumped = parent[parent]
+        while not np.array_equal(jumped, parent):
+            parent, jumped = jumped, jumped[jumped]
+    roots, component = np.unique(parent, return_inverse=True)
     return roots, flat, (run_y, start, end, component)
 
 

@@ -254,6 +254,66 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
     ]
 
 
+def label_runs_unionfind(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """segmentation._label_runs as it was with a Python union-find merge, kept as its oracle.
+
+    First run of each component, flat foreground indices and
+    ``(row, start, end, component)``.  Every maximal run of True is a
+    half-open [start, end) span, listed in raster order (as are the flat
+    indices) with its 0-based component index.
+    """
+    if connectivity not in (4, 8):
+        raise ValueError("connectivity must be 4 or 8")
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    flat = np.flatnonzero(mask)
+    # new_run[i]: a run starts at flat[i], i.e. at the first pixel, after a
+    # gap, or at column 0 of a row; the extra last entry closes the last run.
+    # Marking the first pixel at or past each row start is safe: if it is
+    # not at column 0, a gap precedes it anyway.
+    new_run = np.ones(flat.size + 1, dtype=bool)
+    np.not_equal(np.diff(flat), 1, out=new_run[1:-1])
+    new_run[np.searchsorted(flat, np.arange(1, h) * w)] = True
+    first, last = np.flatnonzero(new_run[:-1]), np.flatnonzero(new_run[1:])
+    run_y, start = np.divmod(flat[first], w)
+    end = flat[last] - run_y * w + 1
+    # Run i of the row above touches run j when it ends at or past j's start
+    # and starts at or before j's end (one pixel less on each side for
+    # 4-connectivity), so the runs touching j are one index range [lo, hi).
+    # Rows sit w + 2 apart on the search keys, so no range crosses a row.
+    gap, row_key = int(connectivity == 4), run_y * (w + 2)
+    above = row_key - (w + 2)
+    lo = np.searchsorted(row_key + end, above + start + gap)
+    hi = np.searchsorted(row_key + start, above + end - gap, side="right")
+    count = np.maximum(hi - lo, 0)
+    # every touching pair (i, j): i runs through lo[j], ..., hi[j] - 1
+    pair_j = np.repeat(np.arange(count.size), count)
+    pair_i = np.arange(pair_j.size) + np.repeat(lo + count - np.cumsum(count), count)
+
+    parent = list(range(count.size))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i, j in zip(pair_i.tolist(), pair_j.tolist()):
+        ri, rj = find(i), find(j)
+        # keep the smaller (earlier, raster-order) index as root
+        if ri < rj:
+            parent[rj] = ri
+        elif rj < ri:
+            parent[ri] = rj
+
+    # A root is its component's first run, so sorted roots number the
+    # components in raster order of their first pixel.
+    roots, component = np.unique(
+        np.array([find(i) for i in range(len(parent))], dtype=np.int64), return_inverse=True
+    )
+    return roots, flat, (run_y, start, end, component)
+
+
 def fill_holes_padded(mask: np.ndarray) -> np.ndarray:
     """The hole fill fill_holes used before it read the crop's own runs, kept as its oracle.
 
@@ -431,6 +491,41 @@ def edge_masks():
         mask[side] = True
         yield mask
         yield ~mask
+
+
+def spiral(h: int, w: int) -> np.ndarray:
+    """A 1-px square spiral with 1-px gaps, walked clockwise inward from the top-left pixel."""
+    mask = np.zeros((h, w), dtype=bool)
+    y, x, dy, dx, turns = 0, 0, 0, 1, 0
+    mask[0, 0] = True
+    while turns < 2:
+        ny, nx, ay, ax = y + dy, x + dx, y + 2 * dy, x + 2 * dx
+        beyond = 0 <= ay < h and 0 <= ax < w and mask[ay, ax]
+        if 0 <= ny < h and 0 <= nx < w and not mask[ny, nx] and not beyond:
+            y, x, turns = ny, nx, 0
+            mask[y, x] = True
+        else:
+            dy, dx, turns = dx, -dy, turns + 1
+    return mask
+
+
+def long_path_masks():
+    """Masks whose run graphs are long paths or take several merge rounds, up to 120x160."""
+    comb = np.zeros((120, 160), dtype=bool)
+    comb[:, ::2] = True  # 1-px teeth ...
+    comb[-1] = True  # ... joined along the last row
+    yield comb
+    yield comb.T
+    yield spiral(120, 160)
+    yield spiral(61, 47)
+    serpentine = np.zeros((119, 160), dtype=bool)
+    serpentine[::2] = True  # rows joined at alternate ends
+    serpentine[1::4, -1] = serpentine[3::4, 0] = True
+    yield serpentine
+    yield serpentine.T
+    rng = np.random.default_rng(60)
+    for density in (0.5, 0.55, 0.6):
+        yield rng.random((120, 160)) < density
 
 
 # What a JSON document can put where a number is expected: null, booleans,

@@ -199,6 +199,10 @@ def test_bench_bad_scene_file(tmp_path, capsys):
         bad.write_text(json.dumps({"scenes": [entry]}))
         assert main(["bench", "--scenes", str(bad)]) == 2
         assert main(["synth", "--scenes", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    for scenes in (5, None, {"a": 1}, {}):  # "scenes" must be an array
+        bad.write_text(json.dumps({"scenes": scenes}))
+        assert main(["bench", "--scenes", str(bad)]) == 2
+        assert main(["synth", "--scenes", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 
@@ -282,9 +286,12 @@ def test_generate_needs_a_positive_count(tmp_path, capsys):
     for n in ("0", "-1", "-3"):
         assert main(["bench", "--generate", n]) == 2
         assert main(["synth", "--generate", n, "--out-scenes", str(corpus)]) == 2
+    assert main(["bench", "--generate", "1", "--seed", "-1"]) == 2
+    assert main(["synth", "--generate", "1", "--seed", "-1", "--out-scenes", str(corpus)]) == 2
     assert not corpus.exists()
     err = capsys.readouterr().err
-    assert "--generate needs N >= 1" in err and "Traceback" not in err
+    assert "--generate needs N >= 1" in err and "--seed must be >= 0" in err
+    assert "Traceback" not in err
 
 
 def test_bench_generates_200_scenes_by_default(monkeypatch):

@@ -15,7 +15,6 @@ from handdepth.frame_io import DepthFrame, write_report
 from handdepth.pipeline import (
     PipelineConfig,
     config_from_dict,
-    config_to_dict,
     extract_hands,
     run_pipeline,
 )
@@ -161,8 +160,19 @@ def test_stream_is_read_lazily_in_bounded_memory():
 
 
 def test_config_round_trip():
-    config = PipelineConfig(
-        calibration=CalibrationParams(raw_valid_max=1000),
+    doc = {  # every key a config file may hold, none at its default
+        "calibration": {"h": 3.6e-4, "k": 12.5, "l": 1.2, "o": 3.5, "raw_valid_max": 1000},
+        "band_cm": 12.0,
+        "slab_cm": 18.0,
+        "min_area": 64,
+        "radius_factor": 0.65,
+        "min_finger_area": 9,
+        "max_hands": 1,
+        "max_misses": 3,
+    }
+    assert config_from_dict(doc) == PipelineConfig(
+        calibration=CalibrationParams(h_rad=3.6e-4, k_cm=12.5, l_rad=1.2, o_cm=3.5,
+                                      raw_valid_max=1000),
         band_cm=12.0,
         slab_cm=18.0,
         min_area=64,
@@ -171,19 +181,20 @@ def test_config_round_trip():
         max_hands=1,
         max_misses=3,
     )
-    assert config_from_dict(config_to_dict(config)) == config
-    assert json.dumps(config_to_dict(PipelineConfig())) == (
+    defaults = json.loads(
         '{"calibration": {"h": 0.00035, "k": 12.36, "l": 1.18, "o": 3.7, "raw_valid_max": 1100}, '
         '"band_cm": 15.0, "slab_cm": 20.0, "min_area": 100, "radius_factor": 0.7, '
         '"min_finger_area": null, "max_hands": 2, "max_misses": 5}'
     )
+    assert config_from_dict(defaults) == config_from_dict({}) == PipelineConfig()
 
 
 def test_config_round_trip_preserves_behavior():
     frames = corpus_frames(3, with_two=False)
-    config = PipelineConfig(band_cm=17.0, radius_factor=0.6)
-    reloaded = config_from_dict(config_to_dict(config))
-    assert report_bytes(frames, config) == report_bytes(frames, reloaded)
+    config = PipelineConfig(calibration=CalibrationParams(k_cm=13.0), band_cm=17.0,
+                            radius_factor=0.5)
+    loaded = config_from_dict({"calibration": {"k": 13.0}, "band_cm": 17.0, "radius_factor": 0.5})
+    assert report_bytes(frames, loaded) == report_bytes(frames, config) != report_bytes(frames, CFG)
 
 
 def test_config_rejects_unknown_keys():

@@ -14,6 +14,7 @@ from handdepth.calibration import (
 from handdepth.segmentation import (
     HandSeed,
     _band_table,
+    _label_runs,
     _table_mask,
     connected_components,
     fill_holes,
@@ -32,6 +33,8 @@ from reference import (
     flood_fill_components,
     hand_blob_whole_frame,
     label_rowwise,
+    label_runs_unionfind,
+    long_path_masks,
     masks,
     paths_agree,
     placed,
@@ -120,11 +123,19 @@ def labelling_cases():
     for _ in range(120):
         shape = (int(rng.integers(1, 28)), int(rng.integers(1, 28)))
         yield random_mask(rng, shape)
+    yield from long_path_masks()
 
 
 def assert_labelling_matches_oracles(mask):
     for conn in (8, 4):
         ref_labels, ref_stats = label_rowwise(mask, conn)
+        roots, flat, runs = _label_runs(mask, conn)
+        ref_roots, ref_flat, ref_runs = label_runs_unionfind(mask, conn)
+        for a, b in zip((roots, flat, *runs), (ref_roots, ref_flat, *ref_runs), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a run's component is the row-wise label at its first pixel, less 1
+        run_y, start, _, component = runs
+        assert np.array_equal(component, ref_labels[run_y, start] - 1)
         blobs = connected_components(mask, conn)
         assert len(blobs) == len(ref_stats)
         got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
@@ -496,7 +507,7 @@ def assert_fill_matches_oracles(mask):
 def test_fill_holes_edge_masks_match_oracle():
     ring = np.ones((5, 5), dtype=bool)
     ring[2, 2] = False  # a hole in a mask that covers the whole border
-    for mask in [*edge_masks(), ring, ~ring]:
+    for mask in [*edge_masks(), ring, ~ring, *long_path_masks()]:
         assert_fill_matches_oracles(mask)
 
 
