@@ -38,16 +38,7 @@ from .frame_io import (
     write_raw,
     write_report,
 )
-from .morphology import (
-    DiskElement,
-    auto_radius,
-    default_min_finger_area,
-    dilate,
-    erode,
-    extract_palm,
-    finger_masks,
-    opening,
-)
+from .morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
 from .pipeline import PipelineConfig, config_from_dict, extract_hands, run_pipeline
 from .segmentation import (
     Blob,

@@ -11,7 +11,7 @@ entry once k^2 reaches the largest current value, so the pass stops
 there: for a hand mask after about inradius offsets.  Cost is
 O(pixels * offsets) with O(pixels) memory.  Everything stays in
 integers; the square root is taken only when a radius is reported, so
-comparisons (and the morphology built on top of this module) are exact.
+comparisons, such as extract_palm's two r*r thresholds, are exact.
 """
 
 from __future__ import annotations

@@ -1,56 +1,29 @@
-"""Binary morphology with closed-disk structuring elements.
+"""Palm opening and finger split.
 
-Erosion and dilation are computed by thresholding the exact squared
-distance transform: a pixel survives erosion by a radius-r disk iff its
-squared distance to background exceeds r*r, and dilation is the dual
-threshold on the distance to foreground.  This is exact for closed
-disks (offsets dx^2 + dy^2 <= r^2).  Dilation only needs distances up
-to r*r, so its transform stops after r row offsets and costs
-O(pixels * r); erosion's transform runs to the mask's inradius.
-Out-of-frame pixels count as background.
+The palm is the hand's opening by a closed disk of radius r (integer
+offsets with dx^2 + dy^2 <= r^2), taken as two thresholds on exact
+squared distances.  The erosion keeps the pixels whose squared distance
+to background, the hand's distance_transform, exceeds r*r.  The
+dilation marks the pixels whose squared distance to that core, from
+sq_edt, is at most r*r.  Both thresholds are exact for closed disks.
+The dilation caps its transform at r*r, so it stops after r row offsets,
+and it runs only on the core's bbox grown by r.  Out-of-frame pixels
+count as background.
 
-One distance map per hand gives the palm inradius, the erosion (its
-threshold at r*r in extract_palm) and the palm-center argmax.
-extract_palm dilates only the eroded core's bbox grown by r.
+One distance map per hand gives the palm inradius, the erosion and the
+palm-center argmax.  The fingers are the connected remnants of the hand
+minus its palm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .distance import distance_transform, sq_edt
+from .distance import sq_edt
 from .errors import EmptyResultError
 from .segmentation import Blob, connected_components
-
-
-@dataclass(frozen=True)
-class DiskElement:
-    """Closed rasterized disk: all integer offsets with dx^2 + dy^2 <= radius^2."""
-
-    radius: int
-
-    def __post_init__(self) -> None:
-        if self.radius < 0:
-            raise ValueError("disk radius must be >= 0")
-
-
-def erode(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
-    """Minkowski erosion: keep pixels whose whole disk neighborhood is foreground."""
-    return distance_transform(mask) > elem.radius * elem.radius
-
-
-def dilate(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
-    """Minkowski dilation: mark pixels within the disk of any foreground pixel."""
-    rr = elem.radius * elem.radius
-    return sq_edt(mask, limit=rr) <= rr
-
-
-def opening(mask: np.ndarray, elem: DiskElement) -> np.ndarray:
-    """Erosion followed by dilation; removes protrusions thinner than the disk."""
-    return dilate(erode(mask, elem), elem)
 
 
 def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
@@ -62,7 +35,8 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     """
     if radius < 1:
         raise ValueError("palm extraction radius must be >= 1")
-    core = hand_dist > radius * radius
+    rr = radius * radius
+    core = hand_dist > rr
     rows, cols = np.flatnonzero(core.any(axis=1)), np.flatnonzero(core.any(axis=0))
     if rows.size == 0:
         raise EmptyResultError(f"opening by radius {radius} left no palm")
@@ -71,7 +45,7 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     window = (slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
               slice(max(cols[0] - radius, 0), cols[-1] + radius + 1))
     opened = np.zeros_like(core)
-    opened[window] = dilate(core[window], DiskElement(radius))
+    opened[window] = sq_edt(core[window], limit=rr) <= rr
     return opened
 
 

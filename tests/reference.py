@@ -163,6 +163,11 @@ def dilate_setdef(mask: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+def opening_setdef(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Per the set definition: the dilation of the erosion by the same disk."""
+    return dilate_setdef(erode_setdef(mask, radius), radius)
+
+
 def flood_fill_components(mask: np.ndarray, connectivity: int = 8) -> list[frozenset]:
     """BFS component extraction; returns pixel sets of (x, y) tuples."""
     h, w = mask.shape

@@ -12,9 +12,10 @@ import pytest
 
 from handdepth.benchmark import score_scene
 from handdepth.calibration import cm_to_raw, raw_to_cm
-from handdepth.distance import distance_transform
+from handdepth.distance import distance_transform, sq_edt
+from handdepth.errors import EmptyResultError
 from handdepth.frame_io import DepthFrame, read_pgm, read_raw, write_pgm, write_raw, write_report
-from handdepth.morphology import DiskElement, dilate, erode, opening
+from handdepth.morphology import extract_palm
 from handdepth.pipeline import PipelineConfig, extract_hands, run_pipeline
 from handdepth.synthetic import HandSpec, build_corpus, random_hand_spec, render_scene
 from handdepth.tracking import HandId
@@ -23,6 +24,7 @@ from reference import (
     dilate_setdef,
     edt_bruteforce,
     erode_setdef,
+    opening_setdef,
     placed,
     random_mask,
     rotated_position,
@@ -148,23 +150,32 @@ def test_criterion_4_distance_transform_exactness():
 
 def test_criterion_5_morphology_correctness():
     rng = np.random.default_rng(555)
+    empty = 0
     for index in range(1000):
         mask = random_mask(rng, (24, 24))
         radius = 1 + index % 3
-        elem = DiskElement(radius)
-        eroded = erode(mask, elem)
-        dilated = dilate(mask, elem)
+        rr = radius * radius
+        dist = distance_transform(mask)
+        eroded = dist > rr
+        dilated = sq_edt(mask, limit=rr) <= rr
         assert (eroded == erode_setdef(mask, radius)).all()
         assert (dilated == dilate_setdef(mask, radius)).all()
-        opened = dilate(eroded, elem)
-        assert not (opened & ~mask).any()  # anti-extensive
-        assert (opening(opened, elem) == opened).all()  # idempotent
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~dilate(~padded, elem)
+        dual = ~(sq_edt(~padded, limit=rr) <= rr)
         assert (eroded == dual[radius:-radius, radius:-radius]).all()  # duality
+        if not eroded.any():
+            with pytest.raises(EmptyResultError):
+                extract_palm(dist, radius)
+            empty += 1
+            continue
+        opened = extract_palm(dist, radius)
+        assert (opened == opening_setdef(mask, radius)).all()
+        assert not (opened & ~mask).any()  # anti-extensive
+        assert (extract_palm(distance_transform(opened), radius) == opened).all()  # idempotent
     print(
-        "PASS criterion 5: erode/dilate match the set-definition oracle on 1000 "
-        "random 24x24 masks (radii 1-3); opening idempotent, anti-extensive; duality exact"
+        "PASS criterion 5: the erosion and dilation thresholds match the set-definition "
+        "oracle on 1000 random 24x24 masks (radii 1-3); the palm opening matches it "
+        f"({empty} empty erosions raise EmptyResultError), idempotent, anti-extensive; duality exact"
     )
 
 

@@ -2,18 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from handdepth.distance import distance_transform, find_palm_center
+from handdepth import morphology
+from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError, EmptyResultError
-from handdepth.morphology import (
-    DiskElement,
-    auto_radius,
-    default_min_finger_area,
-    dilate,
-    erode,
-    extract_palm,
-    finger_masks,
-    opening,
-)
+from handdepth.morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
 from handdepth.synthetic import HandSpec, render_hand
 
 from reference import (
@@ -22,6 +14,7 @@ from reference import (
     edge_masks,
     erode_setdef,
     masks,
+    opening_setdef,
     placed,
     random_mask,
 )
@@ -33,16 +26,11 @@ def centered_disk(radius: int, size: int) -> np.ndarray:
     return (xs - c) ** 2 + (ys - c) ** 2 <= radius * radius
 
 
-def test_disk_element_offsets():
-    with pytest.raises(ValueError):
-        DiskElement(-1)
-
-
 def test_radius_zero_is_identity():
     rng = np.random.default_rng(1)
     mask = random_mask(rng, (12, 12))
-    assert (erode(mask, DiskElement(0)) == mask).all()
-    assert (dilate(mask, DiskElement(0)) == mask).all()
+    assert ((distance_transform(mask) > 0) == mask).all()
+    assert ((sq_edt(mask, limit=0) <= 0) == mask).all()
 
 
 def test_matches_set_definition_oracle():
@@ -50,20 +38,24 @@ def test_matches_set_definition_oracle():
     for _ in range(150):
         mask = random_mask(rng, (24, 24))
         for radius in (1, 2, 3):
-            elem = DiskElement(radius)
-            assert (erode(mask, elem) == erode_setdef(mask, radius)).all()
-            assert (dilate(mask, elem) == dilate_setdef(mask, radius)).all()
+            rr = radius * radius
+            assert ((distance_transform(mask) > rr) == erode_setdef(mask, radius)).all()
+            assert ((sq_edt(mask, limit=rr) <= rr) == dilate_setdef(mask, radius)).all()
 
 
 def test_opening_anti_extensive_and_idempotent():
     rng = np.random.default_rng(77)
     for _ in range(40):
         mask = random_mask(rng, (20, 20))
+        dist = distance_transform(mask)
         for radius in (1, 2, 3):
-            elem = DiskElement(radius)
-            opened = opening(mask, elem)
+            if not (dist > radius * radius).any():
+                with pytest.raises(EmptyResultError):
+                    extract_palm(dist, radius)
+                continue
+            opened = extract_palm(dist, radius)
             assert not (opened & ~mask).any()  # opened is a subset of the input
-            assert (opening(opened, elem) == opened).all()
+            assert (extract_palm(distance_transform(opened), radius) == opened).all()
 
 
 def test_extract_palm_is_opening_of_the_mapped_mask():
@@ -71,10 +63,10 @@ def test_extract_palm_is_opening_of_the_mapped_mask():
     for i in range(60):
         mask = random_mask(rng, (22, 26))
         if i % 2:  # blobby masks, so larger radii leave something behind
-            mask = dilate(mask & (rng.random(mask.shape) < 0.1), DiskElement(3))
+            mask = dilate_setdef(mask & (rng.random(mask.shape) < 0.1), 3)
         dist = distance_transform(mask)
         for radius in (1, 2, 3, 4):
-            opened = opening(mask, DiskElement(radius))
+            opened = opening_setdef(mask, radius)
             if opened.any():
                 assert (extract_palm(dist, radius) == opened).all()
             else:
@@ -82,15 +74,20 @@ def test_extract_palm_is_opening_of_the_mapped_mask():
                     extract_palm(dist, radius)
 
 
-def assert_extract_palm_dilates_the_core(core: np.ndarray, radius: int, seed: int) -> None:
-    """extract_palm on a map whose core is ``core`` against dilate over the whole crop."""
+def map_with_core(core: np.ndarray, radius: int, seed: int) -> np.ndarray:
+    """A distance map whose values exceed r*r exactly on ``core``."""
     rr = radius * radius
     rng = np.random.default_rng(seed)
-    # any values above r*r on the core and at most r*r off it
-    hand_dist = np.where(core, rng.integers(rr + 1, rr + 9, core.shape),
-                         rng.integers(0, rr + 1, core.shape))
+    return np.where(core, rng.integers(rr + 1, rr + 9, core.shape),
+                    rng.integers(0, rr + 1, core.shape))
+
+
+def assert_extract_palm_dilates_the_core(core: np.ndarray, radius: int, seed: int) -> None:
+    """extract_palm on a map whose core is ``core`` against the dilation of the whole crop."""
+    rr = radius * radius
+    hand_dist = map_with_core(core, radius, seed)
     if core.any():
-        assert np.array_equal(extract_palm(hand_dist, radius), dilate(core, DiskElement(radius)))
+        assert np.array_equal(extract_palm(hand_dist, radius), sq_edt(core, limit=rr) <= rr)
     else:
         with pytest.raises(EmptyResultError):
             extract_palm(hand_dist, radius)
@@ -108,6 +105,31 @@ def test_extract_palm_dilates_cores_on_the_crop_edge():
     for i, core in enumerate(edge_masks()):
         for radius in (1, 2, 5):
             assert_extract_palm_dilates_the_core(core, radius, i)
+
+
+def test_extract_palm_dilates_once_within_the_grown_bbox(monkeypatch):
+    # The call is recorded through handdepth.morphology.sq_edt, the name the
+    # benchmark's tracer wraps.
+    calls = []
+
+    def recording(target, *, limit=None):
+        calls.append((target.shape, limit))
+        return sq_edt(target, limit=limit)
+
+    monkeypatch.setattr(morphology, "sq_edt", recording)
+    # a 4x5 core in a 100x84 crop, in its middle or on its edges and corners
+    for y, x in [(40, 52), (0, 0), (96, 79), (0, 30), (50, 79)]:
+        core = np.zeros((100, 84), dtype=bool)
+        core[y:y + 4, x:x + 5] = True
+        for radius in (1, 4, 9):
+            calls.clear()
+            opened = extract_palm(map_with_core(core, radius, 5), radius)
+            assert np.array_equal(opened, dilate_setdef(core, radius))
+            grown = (min(y + 3 + radius, 99) - max(y - radius, 0) + 1,
+                     min(x + 4 + radius, 83) - max(x - radius, 0) + 1)
+            [(shape, limit)] = calls
+            assert limit == radius * radius
+            assert shape[0] <= grown[0] and shape[1] <= grown[1]
 
 
 def palm_centers_agree(mask: np.ndarray) -> int:
@@ -141,18 +163,18 @@ def test_palm_center_lies_in_the_opening_on_edge_and_blobby_masks():
     rng = np.random.default_rng(31)
     for _ in range(40):
         seeds = random_mask(rng, (30, 34)) & (rng.random((30, 34)) < 0.05)
-        agreed += palm_centers_agree(dilate(seeds, DiskElement(int(rng.integers(2, 7)))))
+        agreed += palm_centers_agree(dilate_setdef(seeds, int(rng.integers(2, 7))))
     assert agreed >= 100
 
 
 def test_duality_on_padded_domain():
     rng = np.random.default_rng(4)
     for radius in (1, 2, 3):
+        rr = radius * radius
         mask = random_mask(rng, (16, 16))
-        elem = DiskElement(radius)
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~dilate(~padded, elem)
-        assert (erode(mask, elem) == dual[radius:-radius, radius:-radius]).all()
+        dual = ~(sq_edt(~padded, limit=rr) <= rr)
+        assert ((distance_transform(mask) > rr) == dual[radius:-radius, radius:-radius]).all()
 
 
 def test_opening_keeps_disk_body():
@@ -161,8 +183,8 @@ def test_opening_keeps_disk_body():
     # covered by any radius-10 disk that stays inside.  The set-definition
     # oracle agrees, and the body of the disk survives untouched.
     disk = centered_disk(20, 61)
-    opened = opening(disk, DiskElement(10))
-    oracle = dilate_setdef(erode_setdef(disk, 10), 10)
+    opened = extract_palm(distance_transform(disk), 10)
+    oracle = opening_setdef(disk, 10)
     assert (opened == oracle).all()
     assert not (opened & ~disk).any()
     core = centered_disk(19, 61)
