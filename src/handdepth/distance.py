@@ -1,17 +1,19 @@
 """Exact squared Euclidean distance transform and palm-center extraction.
 
 The transform is separable and runs as whole-array numpy passes.  The
-column pass finds, for every pixel, the nearest target row above it (a
-running maximum of target row indices down each column) and below it (a
-running minimum up each column); the smaller gap is the exact 1-D
-column distance g.  The row pass starts from g and, for each offset
-k = 1, 2, ..., lowers every entry to g[y, x - k] + k^2 and
-g[y, x + k] + k^2 where those are smaller.  No offset can lower an
-entry once k^2 reaches the largest current value, so the pass stops
-there: for a hand mask after about inradius offsets.  Cost is
-O(pixels * offsets) with O(pixels) memory.  Everything stays in
-integers; the square root is taken only when a radius is reported, so
-comparisons, such as extract_palm's two r*r thresholds, are exact.
+row pass finds, for every pixel, the nearest target column to its left
+(a running maximum of target column indices along each row) and to its
+right (a running minimum from the right); the smaller gap is the exact
+1-D row distance g.  The offset pass starts from g and, for each offset
+k = 1, 2, ... down the columns, lowers every entry to g[y - k, x] + k^2
+and g[y + k, x] + k^2 where those are smaller; each update is one
+contiguous block of whole rows.  No offset can lower an entry once k^2
+reaches the largest current value, so the pass stops there: for a hand
+mask after about inradius offsets.  Cost is O(pixels * offsets), with
+the offsets running along axis 0 up to h, and O(pixels) memory.
+Everything stays in integers; the square root is taken only when a
+radius is reported, so comparisons, such as extract_palm's two r*r
+thresholds, are exact.
 """
 
 from __future__ import annotations
@@ -46,19 +48,19 @@ def sq_edt(target: np.ndarray, *, limit: int | None = None) -> np.ndarray:
     if not target.any():
         return np.full((h, w), far * far, dtype=np.int64)
     # Every intermediate stays below 2 * far**2, so int32 holds it on any
-    # realistic frame; int32 halves the memory traffic of the row pass.
+    # realistic frame; int32 halves the memory traffic of the offset pass.
     dtype = np.int32 if 2 * far * far <= np.iinfo(np.int32).max else np.int64
-    rows = np.arange(h, dtype=dtype)[:, None]
-    above = np.maximum.accumulate(np.where(target, rows, -far), axis=0)
-    below = np.minimum.accumulate(np.where(target, rows, h + far)[::-1], axis=0)[::-1]
-    col = np.minimum(np.minimum(rows - above, below - rows), far)
-    g = col * col
+    cols = np.arange(w, dtype=dtype)
+    left = np.maximum.accumulate(np.where(target, cols, -far), axis=1)
+    right = np.minimum.accumulate(np.where(target, cols, w + far)[:, ::-1], axis=1)[:, ::-1]
+    row = np.minimum(np.minimum(cols - left, right - cols), far)
+    g = row * row
     out = g.copy()
     k = 1
-    while k < w and k * k < out.max() and (limit is None or k * k <= limit):
+    while k < h and k * k < out.max() and (limit is None or k * k <= limit):
         kk = k * k
-        np.minimum(out[:, k:], g[:, :-k] + kk, out=out[:, k:])
-        np.minimum(out[:, :-k], g[:, k:] + kk, out=out[:, :-k])
+        np.minimum(out[k:], g[:-k] + kk, out=out[k:])
+        np.minimum(out[:-k], g[k:] + kk, out=out[:-k])
         k += 1
     return out.astype(np.int64, copy=False)
 

@@ -6,7 +6,7 @@ squared distances.  The erosion keeps the pixels whose squared distance
 to background, the hand's distance_transform, exceeds r*r.  The
 dilation marks the pixels whose squared distance to that core, from
 sq_edt, is at most r*r.  Both thresholds are exact for closed disks.
-The dilation caps its transform at r*r, so it stops after r row offsets,
+The dilation caps its transform at r*r, so it stops after r offsets,
 and it runs only on the core's bbox grown by r.  Out-of-frame pixels
 count as background.
 

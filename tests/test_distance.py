@@ -79,8 +79,20 @@ def test_one_lipschitz_in_plain_metric():
     assert (np.abs(np.diff(d, axis=1)) <= 1 + 1e-9).all()
 
 
+def non_square_masks():
+    """Random masks far longer along one axis than the other, at mixed densities."""
+    rng = np.random.default_rng(41)
+    for shape in ((3, 40), (40, 3), (1, 60), (60, 1)):
+        for density in (0.02, 0.1, 0.5, 0.9):
+            yield rng.random(shape) < density
+        yield np.zeros(shape, dtype=bool)
+        single = np.zeros(shape, dtype=bool)
+        single[-1, -1] = True
+        yield single
+
+
 def test_edge_masks_match_envelope_and_bruteforce():
-    for mask in edge_masks():
+    for mask in [*edge_masks(), *non_square_masks()]:
         assert_matches_oracles(mask)
 
 
@@ -91,7 +103,7 @@ def test_random_masks_match_envelope_and_bruteforce(mask):
 
 
 def test_limit_contract_on_edge_masks():
-    for mask in edge_masks():  # the all-False ones are empty targets
+    for mask in [*edge_masks(), *non_square_masks()]:  # the all-False ones are empty targets
         for limit in (0, 1, 2, 5, 50):
             assert_limit_contract(mask, limit)
 
@@ -111,6 +123,23 @@ def test_distances_past_int32_range():
     got = sq_edt(target)
     assert got.dtype == np.int64
     assert (got == ys.astype(np.int64) ** 2 + xs**2).all()
+
+
+def test_distances_past_int32_range_transposed():
+    target = np.zeros((2, 50_000), dtype=bool)
+    target[0, 0] = True
+    ys, xs = np.mgrid[0:2, 0:50_000]
+    got = sq_edt(target)
+    assert got.dtype == np.int64
+    assert (got == ys**2 + xs.astype(np.int64) ** 2).all()
+
+
+@deterministic
+@given(masks, st.integers(0, 80))
+def test_sq_edt_commutes_with_transpose(mask, limit):
+    assert (sq_edt(mask.T) == sq_edt(mask).T).all()
+    assert_limit_contract(mask, limit)
+    assert_limit_contract(mask.T, limit)
 
 
 def test_sq_edt_empty_target_saturates():
