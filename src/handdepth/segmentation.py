@@ -20,17 +20,22 @@ come from the same runs (run-based labelling, He, Chao & Suzuki, IEEE
 TIP 2008).  Each component is its bbox and a boolean mask of the bbox's
 shape, painted from its own runs; no frame-sized label image is built.
 
-The whole frame is labelled once, for the slab.  segment_hand then
-takes one path for every seed: it builds the band's table over raw
-codes, picks a window, thresholds and labels the band there, and keeps
-the component holding the seed.  The window is the bbox of the seed's
-slab blob whenever every raw code of the band is also a slab code.  The
-band mask then lies inside the slab mask, so a band pixel touching the
-seed's band component is a slab pixel touching the seed's slab blob,
-hence in it: the component never leaves the blob, and the bbox holds
-all of it.  When the band reaches past the slab (a hand more than
-slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm), or
-the seed carries no slab, the window is the whole frame.
+The whole frame is labelled once, for the slab.  segment_hand builds
+the band's table over raw codes and ends in one of three ways:
+
+- Slab blob returned.  Every raw code of the band is a slab code, so
+  the band mask lies inside the slab mask, and a band pixel touching
+  the seed's band component is a slab pixel touching the seed's slab
+  blob S, hence in it: the component lies inside S.  If, thresholded
+  over S's bbox, every pixel of S is a band pixel, then S is connected,
+  in the band and holds the seed, so the component also contains S.
+  The two are equal, and S comes back with nothing labelled.
+- Window labelled.  Every band code is a slab code, but some pixel of
+  S lies outside the band.  The component still lies inside S, so the
+  band is labelled inside S's bbox only.
+- Whole frame labelled.  The band reaches past the slab (a hand more
+  than slab_cm - band_cm behind the nearest pixel, or band_cm >=
+  slab_cm), or the seed carries no slab.
 
 fill_holes labels the hand crop's background runs with 4-connectivity,
 with no padding: pixels past the crop's border count as background, so
@@ -243,6 +248,11 @@ def find_hand_seeds(
     Thresholds the frame at the nearest valid depth plus ``slab_cm``,
     keeps components with at least ``min_area`` pixels ordered by area,
     and seeds each at its nearest-depth pixel (raster order on ties).
+
+    The slab is measured from the frame's nearest pixel, not from each
+    hand's: fingers reaching more than ``slab_cm`` in front of their
+    palm leave only the fingers in the slab, and pieces below
+    ``min_area`` seed nothing, so such a hand can be missed entirely.
     """
     if max_hands not in (1, 2):
         raise ValueError("max_hands must be 1 or 2")
@@ -270,19 +280,27 @@ def segment_hand(
     """The 8-connected component of the seed's depth band that holds the seed.
 
     The band is the valid pixels within +/- band_cm of the seed's depth.
-    If every raw code of the band is a code of the seed's slab, it is
-    thresholded and labelled only inside the bbox of the seed's slab
-    blob (see the module docstring); otherwise, or for a seed without a
-    slab, over the whole frame.  Either way the blob is in frame
-    coordinates.
+    One of three things happens (see the module docstring):
+
+    - every raw code of the band is a slab code and every pixel of the
+      seed's slab blob is in the band: that blob is returned itself, so
+      its ``label`` comes from the slab labelling and its mask is a
+      view into that labelling's shared buffer;
+    - every band code is a slab code, but part of the slab blob lies
+      outside the band: the band is labelled inside the blob's bbox;
+    - otherwise, or for a seed without a slab: the band is labelled
+      over the whole frame.
+
+    The blob is in frame coordinates.
     """
     in_band = _band_table(seed, band_cm, params)
-    window, origin = np.s_[:, :], (0, 0)
-    if seed.slab is not None:
-        slab, in_slab = seed.slab
-        if not (in_band & ~in_slab).any():
-            window, origin = slab.box, slab.bbox[:2]
+    window, origin, slab = np.s_[:, :], (0, 0), None
+    if seed.slab is not None and not (in_band & ~seed.slab[1]).any():
+        slab = seed.slab[0]
+        window, origin = slab.box, slab.bbox[:2]
     mask = _table_mask(in_band, frame.samples[window])
+    if slab is not None and mask[slab.mask].all():
+        return slab  # all band: the slab blob is the band component (module docstring)
     return select_hand_blob(connected_components(mask, origin=origin), seed)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from handdepth import pipeline
 from handdepth.errors import DomainError, NotFoundError
 from handdepth.frame_io import DepthFrame
 from handdepth.calibration import (
@@ -22,7 +23,8 @@ from handdepth.segmentation import (
     segment_hand,
     select_hand_blob,
 )
-from handdepth.synthetic import HandSpec, render_hand, render_scene
+from handdepth.pipeline import PipelineConfig, extract_hands
+from handdepth.synthetic import HandSpec, build_corpus, render_hand, render_scene
 
 from reference import (
     blob_key,
@@ -359,7 +361,11 @@ def test_components_with_an_origin_match_the_mask_placed_there(mask, ox, oy):
 
 
 def seeds_and_paths(frame, band_cm=15.0, slab_cm=20.0, min_area=50, params=DEFAULT_CALIBRATION):
-    """``(seed, path, blob)`` of segment_hand on each found seed, checked against the oracle."""
+    """``(seed, path, blob)`` of segment_hand on each found seed, checked against the oracle.
+
+    Every path is held to the same oracle: a returned slab blob too must
+    equal the whole frame's band blob in all but its label.
+    """
     out = []
     for seed in find_hand_seeds(frame, 2, min_area, slab_cm, params):
         path, blob = segment_hand_path(frame, seed, band_cm, params)
@@ -398,7 +404,7 @@ def by_side(found):
 
 def test_segment_hand_labels_inside_the_slab_blob():
     found = seeds_and_paths(two_hand_frame(83))
-    assert by_side(found) == {"near": "window", "far": "window"}
+    assert by_side(found) == {"near": "slab", "far": "slab"}
     for seed, _, blob in found:
         slab = seed.slab[0]
         assert not (placed(blob, (140, 240)) & ~placed(slab, (140, 240))).any()
@@ -407,7 +413,7 @@ def test_segment_hand_labels_inside_the_slab_blob():
 @pytest.mark.parametrize("far_cm", [88, 92, 95])
 def test_segment_hand_falls_back_when_the_band_reaches_past_the_slab(far_cm):
     # the far hand sits 6-15 cm behind the nearest pixel (a near fingertip)
-    assert by_side(seeds_and_paths(two_hand_frame(far_cm))) == {"near": "window", "far": "frame"}
+    assert by_side(seeds_and_paths(two_hand_frame(far_cm))) == {"near": "slab", "far": "frame"}
 
 
 def test_segment_hand_follows_the_band_out_of_the_slab_blob():
@@ -420,13 +426,41 @@ def test_segment_hand_follows_the_band_out_of_the_slab_blob():
     block_cm = (near_cm + 20.0 + raw_to_cm(far_seed.depth_raw) + 15.0) / 2
     frame = two_hand_frame(89, block_cm=block_cm)
     found = seeds_and_paths(frame)
-    assert by_side(found) == {"near": "window", "far": "frame"}
+    assert by_side(found) == {"near": "slab", "far": "frame"}
     ((seed, _, blob),) = [f for f in found if f[0].x >= 120]
     assert seed == far_seed
     outside = placed(blob, (140, 240)) & ~placed(seed.slab[0], (140, 240))
     block = np.zeros_like(outside)
     block[62:80, 190:230] = True
     assert outside[70, 229] and not (outside & ~block).any()
+
+
+def test_segment_hand_labels_the_window_when_the_slab_blob_leaves_the_band():
+    # A wrist step 17.5 cm behind the nearest pixel joins the palm: inside
+    # the 20 cm slab, outside the 15 cm band around the fingertip seed.
+    spec = HandSpec(palm_center=(80, 60), palm_radius=18, finger_count=3,
+                    finger_length=22, finger_width=7, orientation_deg=270,
+                    base_depth_cm=80, tip_slope=2)
+    frame, (truth,) = render_scene([spec], (160, 120), 170)
+    samples = frame.samples.copy()
+    wrist = np.zeros(samples.shape, dtype=bool)
+    wrist[70:, 72:89] = True
+    wrist &= ~truth.support
+    samples[wrist] = cm_to_raw(raw_to_cm(int(samples.min())) + 17.5)
+    ((seed, path, blob),) = seeds_and_paths(DepthFrame(samples), min_area=100)
+    assert path == "window" and blob is not seed.slab[0]
+    slab_only = placed(seed.slab[0], samples.shape) & ~placed(blob, samples.shape)
+    assert np.array_equal(slab_only, wrist)
+
+
+def test_segment_hand_returns_the_slab_blob_on_every_corpus_seed():
+    # Each corpus hand lies within the band of its nearest pixel, so its
+    # slab blob is its band blob (seeds_and_paths checks every blob_key).
+    paths = []
+    for scene in build_corpus(200, seed=3):
+        frame, _ = scene.render()
+        paths += [path for _, path, _ in seeds_and_paths(frame, min_area=100)]
+    assert paths == ["slab"] * 200
 
 
 def test_segment_hand_band_at_least_the_slab_uses_the_whole_frame():
@@ -542,6 +576,20 @@ def test_fill_holes_leaves_the_shared_blob_buffer_alone():
     for blob in blobs:
         assert fill_holes(blob.mask).all()
     assert all(np.array_equal(b.mask, m) for b, m in zip(blobs, before))
+
+
+def test_extract_hands_leaves_the_returned_slab_blobs_alone(monkeypatch):
+    # Corpus frames have dropouts, so each slab blob has holes to fill.
+    config = PipelineConfig()
+    for scene in build_corpus(4, seed=3):
+        frame, _ = scene.render()
+        seeds = find_hand_seeds(frame, config.max_hands, config.min_area, config.slab_cm)
+        before = [seed.slab[0].mask.copy() for seed in seeds]
+        assert not all(np.array_equal(fill_holes(m), m) for m in before)
+        monkeypatch.setattr(pipeline, "find_hand_seeds", lambda *args: seeds)
+        hands = extract_hands(frame, config)
+        assert [blob for _, _, blob in hands] == [seed.slab[0] for seed in seeds]
+        assert all(np.array_equal(s.slab[0].mask, m) for s, m in zip(seeds, before))
 
 
 @deterministic
