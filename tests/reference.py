@@ -376,12 +376,8 @@ def segment_hand_path(frame, seed, band_cm, params):
 
 
 def paths_agree(path, expected) -> bool:
-    """A path from segment_hand_path against one from expected_path.
-
-    None matches either, and "slab" matches "window": the slab blob comes
-    back only where the window would be labelled.
-    """
-    return None in (path, expected) or path == expected or (path, expected) == ("slab", "window")
+    """A path from segment_hand_path against one from expected_path; None matches either."""
+    return None in (path, expected) or path == expected
 
 
 def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
@@ -390,11 +386,20 @@ def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
     The window is exact when the band's far edge (seed depth + band_cm)
     stays within the slab (nearest depth + slab_cm).  Raw codes lie less
     than ``margin_cm`` apart at the test depths, so a far edge more than
-    that past the slab's takes a band code the slab lacks.
+    that past the slab's takes a band code the slab lacks.  Where the
+    window is exact and every pixel of the seed's slab blob lies in the
+    band (thresholded in float centimetres, as hand_blob_whole_frame
+    does), nothing is labelled and the slab blob comes back: "slab".
     """
     near_cm = raw_to_cm(int(frame.samples.min()), params)
     reach = raw_to_cm(seed.depth_raw, params) + band_cm - (near_cm + slab_cm)
-    return "window" if reach < -margin_cm else "frame" if reach > margin_cm else None
+    if reach > margin_cm:
+        return "frame"
+    if reach >= -margin_cm:
+        return None
+    slab = seed.slab[0]
+    depth_cm = params.cm_table[frame.samples[slab.box]][slab.mask]
+    return "slab" if (np.abs(depth_cm - raw_to_cm(seed.depth_raw, params)) <= band_cm).all() else "window"
 
 
 def blob_key(blob) -> tuple:

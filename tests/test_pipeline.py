@@ -382,8 +382,7 @@ def test_slab_window_matches_whole_frame_band_on_two_hand_frames(case):
 
     def traced_segment_hand(frame, seed, band_cm, params):
         path, blob = segment_hand_path(frame, seed, band_cm, params)
-        expected = expected_path(frame, seed, band_cm, config.slab_cm, params)
-        assert expected in (path, None) or (path, expected) == ("slab", "window")
+        assert expected_path(frame, seed, band_cm, config.slab_cm, params) in (path, None)
         paths.append(path)
         return blob
 
@@ -392,9 +391,7 @@ def test_slab_window_matches_whole_frame_band_on_two_hand_frames(case):
         got = extract_hands(frame, config)
         mp.setattr(pipeline, "segment_hand", hand_blob_whole_frame)
         want = extract_hands(frame, config)
-    # A frame without a seed is the slab-anchoring defect that
-    # test_fingers_reaching_past_the_slab_split_the_hand_into_specks records.
-    assert paths or split_into_specks(frame, config)
+    assert paths  # every frame holds a seed
     assert [(palm, tips, blob_key(blob)) for palm, tips, blob in got] == [
         (palm, tips, blob_key(blob)) for palm, tips, blob in want
     ]
