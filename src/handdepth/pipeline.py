@@ -1,16 +1,16 @@
 """End-to-end detection: frames in, labeled hand reports out.
 
 Per frame and per hand the stages run in a fixed order: seed finding,
-the seed's depth-band blob (when every band code is a slab code, the
-seed's slab blob itself if it lies wholly in the band, else the band
-labelled inside that blob's bbox; otherwise the band labelled over the
-whole frame), hole filling, distance transform, palm center and
-inradius, opening with an inradius-scaled disk, finger masks by subtraction,
-minimum-depth fingertips, then identity labeling and tracking.  The
-distance transform runs before palm extraction so the opening radius r
-can scale with the measured inradius.  The opening keeps every pixel
-where that map exceeds r*r and is empty if there is none, so the map's
-argmax, the palm center, lies in every non-empty opening.
+the seed's depth-band blob (the seed's slab blob itself when every band
+code is a slab code and the blob lies wholly in the band, otherwise the
+band labelled over the whole frame), hole filling, distance transform,
+palm center and inradius, opening with an inradius-scaled disk, finger
+masks by subtraction, minimum-depth fingertips, then identity labeling
+and tracking.  The distance transform runs before palm extraction so
+the opening radius r can scale with the measured inradius.  The opening
+keeps every pixel where that map exceeds r*r and is empty if there is
+none, so the map's argmax, the palm center, lies in every non-empty
+opening.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ TIP 2008).  Each component is its bbox and a boolean mask of the bbox's
 shape, painted from its own runs; no frame-sized label image is built.
 
 The whole frame is labelled once, for the slab.  segment_hand builds
-the band's table over raw codes and ends in one of three ways:
+the band's table over raw codes and ends in one of two ways:
 
 - Slab blob returned.  Every raw code of the band is a slab code, so
   the band mask lies inside the slab mask, and a band pixel touching
@@ -30,12 +30,10 @@ the band's table over raw codes and ends in one of three ways:
   over S's bbox, every pixel of S is a band pixel, then S is connected,
   in the band and holds the seed, so the component also contains S.
   The two are equal, and S comes back with nothing labelled.
-- Window labelled.  Every band code is a slab code, but some pixel of
-  S lies outside the band.  The component still lies inside S, so the
-  band is labelled inside S's bbox only.
-- Whole frame labelled.  The band reaches past the slab (a hand more
-  than slab_cm - band_cm behind the nearest pixel, or band_cm >=
-  slab_cm), or the seed carries no slab.
+- Whole frame labelled.  In every other case: some pixel of S lies
+  outside the band, the band reaches past the slab (a hand more than
+  slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm),
+  or the seed carries no slab.
 
 fill_holes labels the hand crop's background runs with 4-connectivity,
 with no padding: pixels past the crop's border count as background, so
@@ -45,6 +43,7 @@ border, and every other component is a hole.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +77,7 @@ class Blob:
     it; ``box`` places it in the labelled array.  The blob holds no
     frame-sized label image.  ``label`` only orders the blobs of one
     labelling (raster order of their first pixel); blobs from different
-    labellings, such as a window and the whole frame, do not share it.
+    labellings, such as a seed's slab and its band, do not share it.
     """
 
     label: int
@@ -157,16 +156,12 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
     return roots, flat, (run_y, start, end, component)
 
 
-def connected_components(
-    mask: np.ndarray, connectivity: int = 8, origin: tuple[int, int] = (0, 0)
-) -> list[Blob]:
+def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
     """Maximal connected components of the foreground as Blob records.
 
     Stats come from the labelled runs, never from a rescan of the mask.
     Every blob's bbox mask is a view into one buffer that holds them all
     back to back, painted in one scatter of the foreground pixels.
-    ``origin`` is the (x, y) of the mask's first pixel in the array the
-    bboxes and centroids refer to, for a mask cut out of a larger one.
     """
     roots, flat, (run_y, start, end, component) = _label_runs(mask, connectivity)
     count, length = len(roots), end - start
@@ -181,10 +176,9 @@ def connected_components(
         return out
 
     w = np.shape(mask)[1]
-    ox, oy = origin
     area = total(length)
-    sum_x = total(length * (start + end - 1 + 2 * ox) // 2)  # the run's x sum, an integer
-    sum_y = total(length * (run_y + oy))
+    sum_x = total(length * (start + end - 1) // 2)  # the run's x sum, an integer
+    sum_y = total(length * run_y)
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
     max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
     # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so its
@@ -195,8 +189,7 @@ def connected_components(
     buf = np.zeros(int(off[-1]), dtype=bool)
     base = off[:-1] - min_y * box_w - min_x
     buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
-    corners = (min_x + ox, min_y + oy, max_x + ox, max_y + oy)
-    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (*corners, off)))
+    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
     return [  # positional fields: label, area, bbox, centroid, mask
         Blob(lab, a, (x0, y0, x1, y1), (sx / a, sy / a),
              buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1))
@@ -220,8 +213,8 @@ def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np.ndarray:
     """The raw codes within +/- band_cm of the seed's depth."""
-    if band_cm <= 0:
-        raise ValueError("band_cm must be positive")
+    if not (math.isfinite(band_cm) and band_cm > 0):
+        raise ValueError(f"band_cm must be finite and positive, not {band_cm!r}")
     if not 0 <= seed.depth_raw <= params.raw_valid_max:
         raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
     seed_cm = raw_to_cm(seed.depth_raw, params)
@@ -258,6 +251,8 @@ def find_hand_seeds(
         raise ValueError("max_hands must be 1 or 2")
     if min_area < 1:
         raise ValueError("min_area must be >= 1")
+    if not (math.isfinite(slab_cm) and slab_cm > 0):
+        raise ValueError(f"slab_cm must be finite and positive, not {slab_cm!r}")
     samples = frame.samples
     near_raw = int(samples.min())
     if near_raw > params.raw_valid_max:
@@ -280,28 +275,21 @@ def segment_hand(
     """The 8-connected component of the seed's depth band that holds the seed.
 
     The band is the valid pixels within +/- band_cm of the seed's depth.
-    One of three things happens (see the module docstring):
+    One of two things happens (see the module docstring):
 
     - every raw code of the band is a slab code and every pixel of the
       seed's slab blob is in the band: that blob is returned itself, so
       its ``label`` comes from the slab labelling and its mask is a
       view into that labelling's shared buffer;
-    - every band code is a slab code, but part of the slab blob lies
-      outside the band: the band is labelled inside the blob's bbox;
     - otherwise, or for a seed without a slab: the band is labelled
       over the whole frame.
-
-    The blob is in frame coordinates.
     """
     in_band = _band_table(seed, band_cm, params)
-    window, origin, slab = np.s_[:, :], (0, 0), None
     if seed.slab is not None and not (in_band & ~seed.slab[1]).any():
         slab = seed.slab[0]
-        window, origin = slab.box, slab.bbox[:2]
-    mask = _table_mask(in_band, frame.samples[window])
-    if slab is not None and mask[slab.mask].all():
-        return slab  # all band: the slab blob is the band component (module docstring)
-    return select_hand_blob(connected_components(mask, origin=origin), seed)
+        if _table_mask(in_band, frame.samples[slab.box])[slab.mask].all():
+            return slab  # all band: the slab blob is the band component (module docstring)
+    return select_hand_blob(connected_components(_table_mask(in_band, frame.samples)), seed)
 
 
 def fill_holes(mask: np.ndarray) -> np.ndarray:

@@ -347,18 +347,15 @@ def hand_blob_whole_frame(frame, seed, band_cm, params):
 
 
 def segment_hand_path(frame, seed, band_cm, params):
-    """Which array segment_hand labelled, and the blob it returned.
+    """How segment_hand found its blob, and the blob it returned.
 
     "slab" is no labelling at all: the seed's slab blob itself came back.
-    "window" is the seed's slab blob's bbox (the mask handed over with
-    that bbox's origin), "frame" the whole frame (origin (0, 0)).  When
-    the slab blob's bbox is the whole frame the last two calls look the
-    same, and the path is None.
+    "frame" is one labelling, over the whole frame.
     """
     calls = []
 
     def recording(mask, *args, **kwargs):
-        calls.append((np.shape(mask), kwargs.get("origin")))
+        calls.append(np.shape(mask))
         return connected_components(mask, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -367,11 +364,7 @@ def segment_hand_path(frame, seed, band_cm, params):
     if not calls:
         assert seed.slab is not None and blob is seed.slab[0]
         return "slab", blob
-    (call,) = calls
-    whole = call == (frame.samples.shape, (0, 0))
-    if seed.slab is not None and call == (seed.slab[0].mask.shape, seed.slab[0].bbox[:2]):
-        return None if whole else "window", blob
-    assert whole
+    assert calls == [frame.samples.shape]
     return "frame", blob
 
 
@@ -383,13 +376,14 @@ def paths_agree(path, expected) -> bool:
 def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
     """The path segment_hand must take, or None near the boundary.
 
-    The window is exact when the band's far edge (seed depth + band_cm)
-    stays within the slab (nearest depth + slab_cm).  Raw codes lie less
-    than ``margin_cm`` apart at the test depths, so a far edge more than
-    that past the slab's takes a band code the slab lacks.  Where the
-    window is exact and every pixel of the seed's slab blob lies in the
-    band (thresholded in float centimetres, as hand_blob_whole_frame
-    does), nothing is labelled and the slab blob comes back: "slab".
+    Every band code is a slab code when the band's far edge (seed depth
+    + band_cm) stays within the slab (nearest depth + slab_cm).  Raw
+    codes lie less than ``margin_cm`` apart at the test depths, so a far
+    edge more than that past the slab's takes a band code the slab
+    lacks.  Where the band stays within the slab and every pixel of the
+    seed's slab blob lies in the band (thresholded in float centimetres,
+    as hand_blob_whole_frame does), nothing is labelled and the slab
+    blob comes back: "slab".  Otherwise the whole frame is: "frame".
     """
     near_cm = raw_to_cm(int(frame.samples.min()), params)
     reach = raw_to_cm(seed.depth_raw, params) + band_cm - (near_cm + slab_cm)
@@ -399,7 +393,7 @@ def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
         return None
     slab = seed.slab[0]
     depth_cm = params.cm_table[frame.samples[slab.box]][slab.mask]
-    return "slab" if (np.abs(depth_cm - raw_to_cm(seed.depth_raw, params)) <= band_cm).all() else "window"
+    return "slab" if (np.abs(depth_cm - raw_to_cm(seed.depth_raw, params)) <= band_cm).all() else "frame"
 
 
 def blob_key(blob) -> tuple:

@@ -350,14 +350,9 @@ def test_find_seeds_validation():
         find_hand_seeds(frame, 3, min_area=1)
     with pytest.raises(ValueError):
         find_hand_seeds(frame, 1, min_area=0)
-
-
-@deterministic
-@given(masks, st.integers(0, 9), st.integers(0, 9))
-def test_components_with_an_origin_match_the_mask_placed_there(mask, ox, oy):
-    got = connected_components(mask, origin=(ox, oy))
-    want = connected_components(np.pad(mask, ((oy, 0), (ox, 0))))
-    assert [(b.label, *blob_key(b)) for b in got] == [(b.label, *blob_key(b)) for b in want]
+    for slab_cm in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            find_hand_seeds(frame, 1, min_area=1, slab_cm=slab_cm)
 
 
 def seeds_and_paths(frame, band_cm=15.0, slab_cm=20.0, min_area=50, params=DEFAULT_CALIBRATION):
@@ -435,7 +430,7 @@ def test_segment_hand_follows_the_band_out_of_the_slab_blob():
     assert outside[70, 229] and not (outside & ~block).any()
 
 
-def test_segment_hand_labels_the_window_when_the_slab_blob_leaves_the_band():
+def test_segment_hand_labels_the_whole_frame_when_the_slab_blob_leaves_the_band():
     # A wrist step 17.5 cm behind the nearest pixel joins the palm: inside
     # the 20 cm slab, outside the 15 cm band around the fingertip seed.
     spec = HandSpec(palm_center=(80, 60), palm_radius=18, finger_count=3,
@@ -448,7 +443,7 @@ def test_segment_hand_labels_the_window_when_the_slab_blob_leaves_the_band():
     wrist &= ~truth.support
     samples[wrist] = cm_to_raw(raw_to_cm(int(samples.min())) + 17.5)
     ((seed, path, blob),) = seeds_and_paths(DepthFrame(samples), min_area=100)
-    assert path == "window" and blob is not seed.slab[0]
+    assert path == "frame" and blob is not seed.slab[0]
     slab_only = placed(seed.slab[0], samples.shape) & ~placed(blob, samples.shape)
     assert np.array_equal(slab_only, wrist)
 
@@ -476,8 +471,9 @@ def test_segment_hand_without_a_slab_uses_the_whole_frame():
         path, blob = segment_hand_path(frame, bare, 15.0, DEFAULT_CALIBRATION)
         want = hand_blob_whole_frame(frame, seed, 15.0, DEFAULT_CALIBRATION)
         assert path == "frame" and blob_key(blob) == blob_key(want)
-    with pytest.raises(ValueError):
-        segment_hand(frame, seed, 0.0)
+    for band_cm in (float("nan"), float("inf"), 0.0, -1.0):
+        with pytest.raises(ValueError):
+            segment_hand(frame, seed, band_cm)
     with pytest.raises(NotFoundError):
         segment_hand(frame, HandSeed(0, 0, seed.depth_raw), 15.0)
 
