@@ -6,8 +6,10 @@ inside the 11-bit range (raw ~1116.6 with the default constants), so all
 conversions are restricted to an explicit valid domain.  Raw value 2047
 is reserved as the "no measurement" sentinel and never converts.
 
-The detection path never converts a frame: a calibration's cm_table holds
-the depth of all 2048 raw codes (NaN past raw_valid_max), so a metric
+The model is evaluated in one place: a calibration's cm_table holds the
+depth of all 2048 raw codes (NaN past raw_valid_max), and raw_to_cm reads
+its depth from that table, so a scalar depth and a table entry never
+differ by round-off.  The detection path never converts a frame: a metric
 threshold is a test on the table, compared with the frame in raw space.
 A tiny h_rad puts the pole far past the 11-bit range: every code up to
 2046 is then in the domain, and the table is close to flat.
@@ -93,8 +95,8 @@ DEFAULT_CALIBRATION = CalibrationParams()
 def raw_to_cm(raw: int, params: CalibrationParams = DEFAULT_CALIBRATION) -> float:
     """Convert one raw disparity sample to depth in centimeters.
 
-    Strictly increasing over the valid domain, so raw-space comparisons
-    and metric comparisons agree.
+    The value is ``params.cm_table[raw]``.  Strictly increasing over the
+    valid domain, so raw-space comparisons and metric comparisons agree.
     """
     if raw == RAW_SENTINEL:
         raise DomainError("raw 2047 is the no-measurement sentinel")
@@ -102,7 +104,7 @@ def raw_to_cm(raw: int, params: CalibrationParams = DEFAULT_CALIBRATION) -> floa
         raise DomainError(
             f"raw disparity {raw} outside valid domain [0, {params.raw_valid_max}]"
         )
-    return params.k_cm * math.tan(params.h_rad * raw + params.l_rad) - params.o_cm
+    return float(params.cm_table[raw])
 
 
 def cm_to_raw(depth_cm: float, params: CalibrationParams = DEFAULT_CALIBRATION) -> int:

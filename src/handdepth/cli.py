@@ -11,6 +11,7 @@ import itertools
 import json
 import sys
 from collections.abc import Iterator
+from contextlib import nullcontext
 from pathlib import Path
 
 from .benchmark import run_benchmark
@@ -41,7 +42,7 @@ def _parse_dims(text: str) -> tuple[int, int]:
     return w, h
 
 
-def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
+def _load_config(path: str | None) -> PipelineConfig:
     data = {}
     if path:
         try:
@@ -50,7 +51,6 @@ def _load_config(path: str | None, overrides: dict) -> PipelineConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    data.update({k: v for k, v in overrides.items() if v is not None})
     return config_from_dict(data)
 
 
@@ -85,28 +85,21 @@ def _input_frames(
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {"max_hands": args.max_hands})
+    config = _load_config(args.config)
     named, to_pipeline = itertools.tee(_input_frames(args.input, args.raw_dims))
     reports = run_pipeline((frame for _, frame in to_pipeline), config)
 
-    out = open(args.out_report, "wb") if args.out_report else None
+    # The overlay directory comes first: a failure here leaves an old report intact.
     overlay_dir = Path(args.out_overlay_dir) if args.out_overlay_dir else None
     if overlay_dir:
         overlay_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    with open(args.out_report, "wb") if args.out_report else nullcontext(sys.stdout.buffer) as out:
         for (name, frame), report in zip(named, reports):
-            line = write_report(report) + b"\n"
-            if out:
-                out.write(line)
-            else:
-                sys.stdout.buffer.write(line)
+            out.write(write_report(report) + b"\n")
             if overlay_dir:
                 (overlay_dir / f"{name}.ppm").write_bytes(
                     write_overlay(frame, report.hands)
                 )
-    finally:
-        if out:
-            out.close()
     return 0
 
 
@@ -169,7 +162,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = _load_config(args.config, {})
+    config = _load_config(args.config)
     if args.scenes:
         scenes = _load_scenes(args.scenes)
     else:
@@ -211,7 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--config", default=None, help="pipeline config JSON")
     detect.add_argument("--out-report", default=None, help="JSONL report path (default stdout)")
     detect.add_argument("--out-overlay-dir", default=None, help="write PPM overlays here")
-    detect.add_argument("--max-hands", type=int, choices=(1, 2), default=None)
     detect.set_defaults(func=_cmd_detect)
 
     synth = sub.add_parser("synth", help="render synthetic scenes with ground truth")

@@ -189,10 +189,11 @@ def _depth_to_gray(samples: np.ndarray) -> np.ndarray:
     return gray.astype(np.uint8)
 
 
-def _paint(rgb: np.ndarray, x: int, y: int, color: tuple[int, int, int]) -> None:
-    h, w = rgb.shape[:2]
-    if 0 <= x < w and 0 <= y < h:
-        rgb[y, x] = color
+def _box(rgb: np.ndarray, x0: int, x1: int, y0: int, y1: int,
+         color: tuple[int, int, int]) -> None:
+    """Paint the pixels x0 <= x < x1, y0 <= y < y1 that lie inside the image."""
+    # Clamp both ends at 0: a negative stop would wrap; slicing clips stops past the edge.
+    rgb[max(y0, 0):max(y1, 0), max(x0, 0):max(x1, 0)] = color
 
 
 def write_overlay(frame: DepthFrame, hands: list["HandReport"]) -> bytes:
@@ -207,12 +208,9 @@ def write_overlay(frame: DepthFrame, hands: list["HandReport"]) -> bytes:
     for hand in hands:
         color = hand.overlay_color
         for tip in hand.fingertips:
-            for dy in (-1, 0, 1):
-                for dx in (-1, 0, 1):
-                    _paint(rgb, tip.x + dx, tip.y + dy, color)
+            _box(rgb, tip.x - 1, tip.x + 2, tip.y - 1, tip.y + 2, color)
         px, py = hand.palm.x, hand.palm.y
-        for d in range(-3, 4):
-            _paint(rgb, px + d, py, color)
-            _paint(rgb, px, py + d, color)
+        _box(rgb, px - 3, px + 4, py, py + 1, color)
+        _box(rgb, px, px + 1, py - 3, py + 4, color)
     header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
     return header + rgb.tobytes()

@@ -49,17 +49,15 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     return opened
 
 
-def auto_radius(palm_inradius: float, factor: float = 0.7) -> int:
-    """Structuring-element radius scaled from the measured palm inradius.
+def auto_radius(palm_inradius: float) -> int:
+    """Structuring-element radius: 0.7 of the measured palm inradius, at least 1.
 
     A fixed radius would break as the hand moves nearer or farther; a
     fraction of the inradius tracks the hand's apparent size.
     """
     if palm_inradius < 1:
         raise ValueError("palm inradius must be >= 1")
-    if not 0 < factor < 1:
-        raise ValueError("radius factor must lie in (0, 1)")
-    return max(1, round(factor * palm_inradius))
+    return max(1, round(0.7 * palm_inradius))
 
 
 def default_min_finger_area(hand_area: int) -> int:

@@ -41,37 +41,34 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Every tunable of the detection pipeline, with working defaults."""
+    """Every tunable of the detection pipeline, with working defaults.
+
+    The opening radius (0.7 of the palm inradius, auto_radius) and the
+    finger sliver floor (default_min_finger_area of the hand's area) are
+    fixed constants of the pipeline, not settings.
+    """
 
     calibration: CalibrationParams = DEFAULT_CALIBRATION
     band_cm: float = 15.0
     slab_cm: float = 20.0
     min_area: int = 100
-    radius_factor: float = 0.7
-    min_finger_area: int | None = None  # None: scale with the hand's area
     max_hands: int = 2
     max_misses: int = 5
 
     def __post_init__(self) -> None:
         # NaN and inf pass the positivity checks below, and bool is an int subclass
-        for name in ("band_cm", "slab_cm", "radius_factor"):
+        for name in ("band_cm", "slab_cm"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, not {value!r}")
-        for name in ("min_area", "max_hands", "max_misses", "min_finger_area"):
+        for name in ("min_area", "max_hands", "max_misses"):
             value = getattr(self, name)
-            if name == "min_finger_area" and value is None:
-                continue
             if isinstance(value, bool) or not isinstance(value, Integral):
                 raise ConfigError(f"{name} must be an integer, not {value!r}")
         if self.band_cm <= 0 or self.slab_cm <= 0:
             raise ConfigError("band_cm and slab_cm must be positive")
         if self.min_area < 1:
             raise ConfigError("min_area must be >= 1")
-        if not 0 < self.radius_factor < 1:
-            raise ConfigError("radius_factor must lie in (0, 1)")
-        if self.min_finger_area is not None and self.min_finger_area < 0:
-            raise ConfigError("min_finger_area must be >= 0")
         if self.max_hands not in (1, 2):
             raise ConfigError("max_hands must be 1 or 2")
         if self.max_misses < 1:
@@ -116,13 +113,9 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
 
     dist = distance_transform(hand)
     palm = find_palm_center(dist, hand)
-    radius = auto_radius(palm.inradius_px, config.radius_factor)
-    palm_mask = extract_palm(dist, radius)
-
-    min_finger = config.min_finger_area
-    if min_finger is None:
-        min_finger = default_min_finger_area(int(hand.sum()))
-    fingers = finger_masks(hand, palm_mask, min_finger, (palm.x, palm.y))
+    palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))
+    fingers = finger_masks(hand, palm_mask, default_min_finger_area(int(hand.sum())),
+                           (palm.x, palm.y))
     tips = detect_fingertips(frame.samples[blob.box], fingers, config.calibration)
     return (
         replace(palm, x=palm.x + x0, y=palm.y + y0),

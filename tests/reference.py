@@ -453,6 +453,30 @@ def update_three_rules(state, reports):
     return state
 
 
+def paint_marks_per_pixel(rgb: np.ndarray, hands) -> None:
+    """The overlay painter that write_overlay's box writes replaced, kept as their oracle.
+
+    Paints each in-image pixel of every 3x3 tip square and of the 7-pixel
+    palm cross, one pixel at a time, hand by hand.
+    """
+    h, w = rgb.shape[:2]
+
+    def paint(x, y, color):
+        if 0 <= x < w and 0 <= y < h:
+            rgb[y, x] = color
+
+    for hand in hands:
+        color = hand.overlay_color
+        for tip in hand.fingertips:
+            for dy in (-1, 0, 1):
+                for dx in (-1, 0, 1):
+                    paint(tip.x + dx, tip.y + dy, color)
+        px, py = hand.palm.x, hand.palm.y
+        for d in range(-3, 4):
+            paint(px + d, py, color)
+            paint(px, py + d, color)
+
+
 def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int) -> tuple[int, int]:
     """Where np.rot90(frame, quarter_turns) moves the pixel at (x, y)."""
     for _ in range(quarter_turns % 4):

@@ -92,7 +92,7 @@ def _palm_argmax_tie_set(blob, shape):
     hand = fill_holes(placed(blob, shape))
     dist = distance_transform(hand)
     seed = find_palm_center(dist, hand)
-    palm_mask = extract_palm(dist, auto_radius(seed.inradius_px, CONFIG.radius_factor))
+    palm_mask = extract_palm(dist, auto_radius(seed.inradius_px))
     vals = np.where(palm_mask, dist, -1)
     ys, xs = np.nonzero(vals == vals.max())
     return {(int(x), int(y)) for x, y in zip(xs, ys)}

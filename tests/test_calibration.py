@@ -46,6 +46,18 @@ def test_monotonic_and_positive_steps():
     assert (steps > 0).all()
 
 
+@pytest.mark.parametrize("params", [
+    DEFAULT_CALIBRATION,
+    CalibrationParams(h_rad=3.6e-4, k_cm=12.5, l_rad=1.2, o_cm=3.5, raw_valid_max=1000),
+    CalibrationParams(h_rad=1e-5, k_cm=20.0, l_rad=0.3, o_cm=-2.0, raw_valid_max=2046),
+])
+def test_scalar_depth_is_the_table_entry(params):
+    # one evaluation of the model: a scalar depth and a table entry never differ by round-off
+    for raw in range(params.raw_valid_max + 1):
+        assert raw_to_cm(raw, params) == params.cm_table[raw]
+        assert raw_to_cm(np.uint16(raw), params) == params.cm_table[raw]
+
+
 def test_round_trip_within_one_step():
     for r in range(0, 1101):
         assert abs(cm_to_raw(raw_to_cm(r)) - r) <= 1

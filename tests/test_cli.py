@@ -50,6 +50,22 @@ def test_detect_writes_jsonl_and_overlays(tmp_path, frame_dir):
     assert (overlay_dir / "f000.ppm").read_bytes().startswith(b"P6\n320 240\n255\n")
 
 
+def test_detect_leaves_an_old_report_intact_when_the_overlay_dir_is_a_file(
+        tmp_path, frame_dir, capsys):
+    report_path = tmp_path / "out.jsonl"
+    report_path.write_bytes(b"old report\n")
+    blocker = tmp_path / "overlays"
+    blocker.write_bytes(b"")
+    code = main([
+        "detect", "--input", str(frame_dir),
+        "--out-report", str(report_path),
+        "--out-overlay-dir", str(blocker),
+    ])
+    assert code == 2
+    assert report_path.read_bytes() == b"old report\n"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_detect_stdout(capsys, frame_dir):
     assert main(["detect", "--input", str(frame_dir / "f000.pgm")]) == 0
     out = capsys.readouterr().out
@@ -242,10 +258,12 @@ def test_bad_raw_dims_argument(tmp_path, capsys):
 
 def test_workers_option_and_config_key_are_rejected(tmp_path, frame_dir, capsys):
     assert main(["detect", "--input", str(frame_dir), "--workers", "2"]) == 2
+    assert main(["detect", "--input", str(frame_dir), "--max-hands", "1"]) == 2
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"workers": 2}))
-    assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
-    assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
+    for removed in ({"workers": 2}, {"radius_factor": 0.7}, {"min_finger_area": None}):
+        cfg.write_text(json.dumps(removed))
+        assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
+        assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
 
 

@@ -19,6 +19,8 @@ from handdepth.frame_io import (
 )
 from handdepth.tracking import HandId, HandReport, PINK, WHITE
 
+from reference import paint_marks_per_pixel
+
 
 def frame_of(rows) -> DepthFrame:
     return DepthFrame(np.array(rows, dtype=np.uint16))
@@ -304,3 +306,20 @@ def test_overlay_two_hand_colors():
     rgb = parse_ppm(write_overlay(DepthFrame(samples), [right, left]))
     assert (rgb[8, 22] == WHITE).all()
     assert (rgb[8, 6] == PINK).all()
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (5, 1), (4, 3), (6, 7)])
+def test_overlay_marks_match_the_per_pixel_painter_at_and_past_every_edge(shape):
+    h, w = shape
+    rng = np.random.default_rng(h * 10 + w)
+    frame = random_frame(rng, shape)
+    gray = parse_ppm(write_overlay(frame, []))
+    for y in range(-5, h + 5):
+        for x in range(-5, w + 5):
+            tips = [Fingertip(x=x, y=y, depth_cm=70.0, finger_index=0),
+                    Fingertip(x=w - 1 - x, y=y + 1, depth_cm=70.0, finger_index=1)]
+            hands = [hand(HandId.RIGHT, WHITE, x, y, 4.0, tips),
+                     hand(HandId.LEFT, PINK, w - x, h - 1 - y, 4.0, tips[:1])]
+            want = gray.copy()
+            paint_marks_per_pixel(want, hands)
+            assert (parse_ppm(write_overlay(frame, hands)) == want).all(), (x, y)

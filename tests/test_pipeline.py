@@ -166,8 +166,6 @@ def test_config_round_trip():
         "band_cm": 12.0,
         "slab_cm": 18.0,
         "min_area": 64,
-        "radius_factor": 0.65,
-        "min_finger_area": 9,
         "max_hands": 1,
         "max_misses": 3,
     }
@@ -177,24 +175,20 @@ def test_config_round_trip():
         band_cm=12.0,
         slab_cm=18.0,
         min_area=64,
-        radius_factor=0.65,
-        min_finger_area=9,
         max_hands=1,
         max_misses=3,
     )
     defaults = json.loads(
         '{"calibration": {"h": 0.00035, "k": 12.36, "l": 1.18, "o": 3.7, "raw_valid_max": 1100}, '
-        '"band_cm": 15.0, "slab_cm": 20.0, "min_area": 100, "radius_factor": 0.7, '
-        '"min_finger_area": null, "max_hands": 2, "max_misses": 5}'
+        '"band_cm": 15.0, "slab_cm": 20.0, "min_area": 100, "max_hands": 2, "max_misses": 5}'
     )
     assert config_from_dict(defaults) == config_from_dict({}) == PipelineConfig()
 
 
 def test_config_round_trip_preserves_behavior():
     frames = corpus_frames(3, with_two=False)
-    config = PipelineConfig(calibration=CalibrationParams(k_cm=13.0), band_cm=17.0,
-                            radius_factor=0.5)
-    loaded = config_from_dict({"calibration": {"k": 13.0}, "band_cm": 17.0, "radius_factor": 0.5})
+    config = PipelineConfig(calibration=CalibrationParams(k_cm=13.0), band_cm=17.0)
+    loaded = config_from_dict({"calibration": {"k": 13.0}, "band_cm": 17.0})
     assert report_bytes(frames, loaded) == report_bytes(frames, config) != report_bytes(frames, CFG)
 
 
@@ -209,17 +203,15 @@ def test_config_rejects_bad_values():
     with pytest.raises(ConfigError):
         PipelineConfig(band_cm=0)
     with pytest.raises(ConfigError):
-        PipelineConfig(radius_factor=1.5)
-    with pytest.raises(ConfigError):
         PipelineConfig(max_hands=3)
     with pytest.raises(ConfigError):
         config_from_dict({"calibration": {"h": -1}})
     nan, inf = float("nan"), float("inf")
-    for key in ("band_cm", "slab_cm", "radius_factor"):
+    for key in ("band_cm", "slab_cm"):
         for value in (nan, inf, -inf, "0.5", None, True, [0.5]):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({key: value})
-    for key in ("max_hands", "min_area", "max_misses", "min_finger_area"):
+    for key in ("max_hands", "min_area", "max_misses"):
         for value in (1.0, 2.5, nan, inf, "2", True, [1]):
             with pytest.raises(ConfigError, match=key):
                 config_from_dict({key: value})
@@ -238,8 +230,6 @@ plausible_configs = st.fixed_dictionaries({"calibration": calibration_dicts}, op
     "band_cm": st.floats(0.5, 40),
     "slab_cm": st.floats(0.5, 40),
     "min_area": st.integers(-2, 300),
-    "radius_factor": st.floats(0, 1),
-    "min_finger_area": st.integers(-2, 50),
     "max_hands": st.integers(0, 3),
     "max_misses": st.integers(0, 6),
 })
