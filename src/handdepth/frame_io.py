@@ -204,7 +204,7 @@ def write_overlay(frame: DepthFrame, hands: list["HandReport"]) -> bytes:
     hand's overlay color.  Pixels outside the marks are untouched.
     """
     gray = _depth_to_gray(frame.samples)
-    rgb = np.repeat(gray[:, :, None], 3, axis=2)
+    rgb = np.stack((gray, gray, gray), axis=-1)
     for hand in hands:
         color = hand.overlay_color
         for tip in hand.fingertips:

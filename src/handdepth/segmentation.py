@@ -150,7 +150,7 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
         pair_i, pair_j = pair_i[joins], pair_j[joins]
         np.minimum.at(parent, np.maximum(pair_i, pair_j), np.minimum(pair_i, pair_j))
         jumped = parent[parent]
-        while not np.array_equal(jumped, parent):
+        while (jumped != parent).any():
             parent, jumped = jumped, jumped[jumped]
     roots, component = np.unique(parent, return_inverse=True)
     return roots, flat, (run_y, start, end, component)

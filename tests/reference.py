@@ -126,6 +126,33 @@ def sq_edt_envelope(target: np.ndarray) -> np.ndarray:
     return np.array([envelope_row(row) for row in g.tolist()], dtype=np.int64)
 
 
+def sq_edt_two_updates(target: np.ndarray, *, limit: int | None = None) -> np.ndarray:
+    """The sq_edt offset pass that the padded three-call pass replaced, kept as its oracle.
+
+    Each offset k lowers ``out`` from two ``g + k^2`` temporaries, one per
+    direction, and the loop tests ``k^2 < out.max()`` (and ``k^2 <= limit``)
+    before every offset.
+    """
+    h, w = target.shape
+    far = h + w + 1
+    if not target.any():
+        return np.full((h, w), far * far, dtype=np.int64)
+    dtype = np.int32 if 2 * far * far <= np.iinfo(np.int32).max else np.int64
+    cols = np.arange(w, dtype=dtype)
+    left = np.maximum.accumulate(np.where(target, cols, -far), axis=1)
+    right = np.minimum.accumulate(np.where(target, cols, w + far)[:, ::-1], axis=1)[:, ::-1]
+    row = np.minimum(np.minimum(cols - left, right - cols), far)
+    g = row * row
+    out = g.copy()
+    k = 1
+    while k < h and k * k < out.max() and (limit is None or k * k <= limit):
+        kk = k * k
+        np.minimum(out[k:], g[:-k] + kk, out=out[k:])
+        np.minimum(out[:-k], g[k:] + kk, out=out[:-k])
+        k += 1
+    return out.astype(np.int64, copy=False)
+
+
 def shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """out[y, x] = mask[y + dy, x + dx], False past the border."""
     h, w = mask.shape

@@ -13,6 +13,7 @@ from reference import (
     random_mask,
     sq_edt_bruteforce,
     sq_edt_envelope,
+    sq_edt_two_updates,
 )
 
 def assert_matches_oracles(mask):
@@ -132,6 +133,30 @@ def test_distances_past_int32_range_transposed():
     got = sq_edt(target)
     assert got.dtype == np.int64
     assert (got == ys**2 + xs.astype(np.int64) ** 2).all()
+
+
+def test_distances_at_the_int32_edge():
+    # 2 * far**2 still fits int32 here, and pad + k*k is reached at k = h - 1
+    target = np.zeros((32_000, 2), dtype=bool)
+    target[0, 0] = True
+    ys, xs = np.mgrid[0:32_000, 0:2]
+    got = sq_edt(target)
+    assert got.dtype == np.int64
+    assert (got == ys.astype(np.int64) ** 2 + xs**2).all()
+
+
+@deterministic
+@given(masks, st.sampled_from([None, 0, 1, 4, 9, 50]))
+def test_sq_edt_equals_the_two_update_pass_everywhere(mask, limit):
+    # the whole array, not only the entries at or below limit
+    assert (sq_edt(mask, limit=limit) == sq_edt_two_updates(mask, limit=limit)).all()
+
+
+def test_limit_past_every_distance_is_no_limit():
+    rng = np.random.default_rng(23)
+    randoms = [random_mask(rng, shape) for shape in ((1, 30), (30, 1), (17, 23), (40, 40))]
+    for mask in [*edge_masks(), *non_square_masks(), *randoms]:
+        assert (sq_edt(mask, limit=10**12) == sq_edt(mask)).all()
 
 
 @deterministic
