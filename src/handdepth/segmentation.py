@@ -112,9 +112,8 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
 
     Every maximal run of True is a half-open [start, end) span, listed in
     raster order (as are the flat indices) with its 0-based component index.
+    ``connectivity`` is 4 or 8.
     """
-    if connectivity not in (4, 8):
-        raise ValueError("connectivity must be 4 or 8")
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
     flat = np.flatnonzero(mask)
@@ -156,14 +155,14 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
     return roots, flat, (run_y, start, end, component)
 
 
-def connected_components(mask: np.ndarray, connectivity: int = 8) -> list[Blob]:
-    """Maximal connected components of the foreground as Blob records.
+def connected_components(mask: np.ndarray) -> list[Blob]:
+    """Maximal 8-connected components of the foreground as Blob records.
 
     Stats come from the labelled runs, never from a rescan of the mask.
     Every blob's bbox mask is a view into one buffer that holds them all
     back to back, painted in one scatter of the foreground pixels.
     """
-    roots, flat, (run_y, start, end, component) = _label_runs(mask, connectivity)
+    roots, flat, (run_y, start, end, component) = _label_runs(mask, 8)
     count, length = len(roots), end - start
 
     def total(weights: np.ndarray) -> list[int]:
@@ -306,7 +305,7 @@ def fill_holes(mask: np.ndarray) -> np.ndarray:
     """
     filled = np.array(mask, dtype=bool)
     h, w = filled.shape
-    roots, flat, (run_y, start, end, component) = _label_runs(~filled, connectivity=4)
+    roots, flat, (run_y, start, end, component) = _label_runs(~filled, 4)
     outside = np.zeros(len(roots), dtype=bool)
     outside[component[(run_y == 0) | (run_y == h - 1) | (start == 0) | (end == w)]] = True
     filled.ravel()[flat[np.repeat(~outside[component], end - start)]] = True

@@ -271,19 +271,19 @@ def random_hand_spec(
     rng: np.random.Generator,
     frame_size: tuple[int, int],
     depth_cm: float,
-    params: CalibrationParams = DEFAULT_CALIBRATION,
-    finger_count: int | None = None,
     center_box: tuple[float, float, float, float] | None = None,
 ) -> HandSpec:
-    """Draw one plausible desk-scale hand, guaranteed to fit the frame.
+    """Draw one plausible desk-scale hand with 1-5 fingers, guaranteed to fit the frame.
 
+    ``center_box`` (x0, y0, x1, y1) limits where the palm center may fall.
     The tip slope is chosen so fingers reach a few centimeters toward the
     camera yet stay steep enough (>= 4 raw units per width) that a tip
-    displaced by a dropout still lands within half a finger width.
+    displaced by a dropout still lands within half a finger width, under
+    the default calibration.
     """
     width, height = frame_size
     radius = rng.uniform(20, 34)
-    count = int(finger_count) if finger_count is not None else int(rng.integers(1, 6))
+    count = int(rng.integers(1, 6))
     lengths = tuple(radius * rng.uniform(1.1, 1.4) for _ in range(count))
     widths = tuple(radius * rng.uniform(0.30, 0.42) for _ in range(count))
     reach = radius + max(
@@ -297,8 +297,8 @@ def random_hand_spec(
         raise GeometryError("frame too small for the drawn hand")
     center = (rng.uniform(lo_x, hi_x), rng.uniform(lo_y, hi_y))
 
-    base_raw = cm_to_raw(depth_cm, params)
-    per_raw = cm_per_raw(base_raw, params)
+    base_raw = cm_to_raw(depth_cm, DEFAULT_CALIBRATION)
+    per_raw = cm_per_raw(base_raw, DEFAULT_CALIBRATION)
     s_max = max((L + w / 2 for L, w in zip(lengths, widths)), default=1.0)
     metric_target = rng.uniform(3.0, 6.0)
     slope = max(4.0 / min(widths), metric_target / (per_raw * s_max)) if count else 0.0
@@ -320,15 +320,13 @@ def build_corpus(
     seed: int,
     frame_size: tuple[int, int] = (320, 240),
     dropout_rate: float = 0.02,
-    depth_range_cm: tuple[float, float] = (60.0, 150.0),
-    params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> list[Scene]:
-    """Seeded single-hand benchmark corpus with uniform orientations and depths."""
+    """Seeded single-hand benchmark corpus with uniform orientations and 60-150 cm depths."""
     rng = np.random.default_rng(seed)
     scenes = []
     for _ in range(n_scenes):
-        depth = float(rng.uniform(*depth_range_cm))
-        spec = random_hand_spec(rng, frame_size, depth, params)
+        depth = float(rng.uniform(60.0, 150.0))
+        spec = random_hand_spec(rng, frame_size, depth)
         scenes.append(
             Scene(
                 hands=(spec,),

@@ -5,11 +5,8 @@ one further right (larger palm x) becomes Right/white and the other
 Left/pink at track birth; afterwards identities follow palm-center
 continuity so that crossing hands keep their colors.
 
-label_hands emits at most one report per identity and a Single report
-starts a track only when there is none, so the tracker never holds two
-tracks of one identity, and an unnamed track only as its sole track.
-So update needs one rule: each report takes the nearest free track it
-may claim.
+The tracker holds one track per named hand, Right and Left.  A lone
+hand moves the nearer of them and starts none.
 """
 
 from __future__ import annotations
@@ -46,7 +43,6 @@ class HandReport:
 
 @dataclass
 class _Track:
-    identity: HandId | None  # RIGHT/LEFT once assigned in a two-hand frame
     x: float
     y: float
     misses: int = 0
@@ -54,10 +50,13 @@ class _Track:
 
 @dataclass
 class TrackState:
-    """Mutable tracker memory; feed frames strictly in order."""
+    """Mutable tracker memory; feed frames strictly in order.
+
+    ``tracks`` holds at most a Right and a Left track, oldest first.
+    """
 
     max_misses: int = 5
-    tracks: list[_Track] = field(default_factory=list)
+    tracks: dict[HandId, _Track] = field(default_factory=dict)
 
 
 HandObservation = tuple[PalmCenter, list[Fingertip], Blob]
@@ -83,14 +82,14 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
         return [HandReport(HandId.SINGLE, WHITE, palm, tips)]
 
     palm_a, palm_b = hands[0][0], hands[1][0]
-    prior = {t.identity: t for t in state.tracks if t.identity in (HandId.RIGHT, HandId.LEFT)}
+    tracks = state.tracks
     straight = swapped = 0.0  # both stay 0 without prior tracks: x-order decides
-    if HandId.RIGHT in prior:
-        straight += _sqdist(palm_a, prior[HandId.RIGHT])
-        swapped += _sqdist(palm_b, prior[HandId.RIGHT])
-    if HandId.LEFT in prior:
-        straight += _sqdist(palm_b, prior[HandId.LEFT])
-        swapped += _sqdist(palm_a, prior[HandId.LEFT])
+    if HandId.RIGHT in tracks:
+        straight += _sqdist(palm_a, tracks[HandId.RIGHT])
+        swapped += _sqdist(palm_b, tracks[HandId.RIGHT])
+    if HandId.LEFT in tracks:
+        straight += _sqdist(palm_b, tracks[HandId.LEFT])
+        swapped += _sqdist(palm_a, tracks[HandId.LEFT])
     if straight < swapped:
         right_idx, left_idx = 0, 1
     elif swapped < straight:
@@ -110,37 +109,23 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
 def update(state: TrackState, reports: list[HandReport]) -> TrackState:
     """Refresh tracks from label_hands' reports for this frame.
 
-    Each report takes the nearest free track it may claim, ties to the
-    lower index: Right and Left claim their own identity or an unnamed
-    track (by the module invariant never both kinds at once), Single any
-    track.  A claimed unnamed track takes the report's identity; with no
-    claim the report starts a track.  Unmatched tracks gain a miss and
-    drop after max_misses consecutive frames without a sighting.
+    A Right or Left report sets its own track, starting it if need be.
+    A Single report sets the nearer track (the older on a tie) and
+    starts none.  Unmatched tracks gain a miss and drop after
+    max_misses consecutive frames without a sighting.
     """
-    matched: set[int] = set()
+    seen = set()
     for report in reports:
-        identity = None if report.hand_id is HandId.SINGLE else report.hand_id
-        candidates = [
-            (_sqdist(report.palm, t), i)
-            for i, t in enumerate(state.tracks)
-            if i not in matched and (identity is None or t.identity in (identity, None))
-        ]
-        if candidates:
-            index = min(candidates)[1]
-            t = state.tracks[index]
-            if t.identity is None:
-                t.identity = identity
-            t.x, t.y, t.misses = report.palm.x, report.palm.y, 0
-        else:
-            index = len(state.tracks)
-            state.tracks.append(_Track(identity, report.palm.x, report.palm.y))
-        matched.add(index)
+        hand_id = report.hand_id
+        if hand_id is HandId.SINGLE:
+            if not state.tracks:
+                continue
+            hand_id = min(state.tracks, key=lambda k: _sqdist(report.palm, state.tracks[k]))
+        state.tracks[hand_id] = _Track(report.palm.x, report.palm.y)
+        seen.add(hand_id)
 
-    survivors = []
-    for i, t in enumerate(state.tracks):
-        if i not in matched:
+    for hand_id, t in state.tracks.items():
+        if hand_id not in seen:
             t.misses += 1
-        if t.misses < state.max_misses:
-            survivors.append(t)
-    state.tracks = survivors
+    state.tracks = {k: t for k, t in state.tracks.items() if t.misses < state.max_misses}
     return state

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from handdepth import segmentation
 from handdepth.calibration import RAW_CEILING, raw_to_cm
 from handdepth.errors import DomainError
 from handdepth.segmentation import connected_components, select_hand_blob
-from handdepth.tracking import HandId, _Track
+from handdepth.tracking import HandId
 
 
 def valid_domain_stepping(h_rad: float, l_rad: float) -> int:
@@ -428,12 +429,31 @@ def blob_key(blob) -> tuple:
     return blob.area, blob.bbox, blob.centroid, blob.mask.shape, blob.mask.tobytes()
 
 
-def update_three_rules(state, reports):
+@dataclass
+class ListTrack:
+    """The track record of update_three_rules; identity None is an unnamed track."""
+
+    identity: HandId | None
+    x: float
+    y: float
+    misses: int = 0
+
+
+@dataclass
+class ListTrackState:
+    """update_three_rules' tracker memory: a list of tracks, oldest first."""
+
+    max_misses: int = 5
+    tracks: list[ListTrack] = field(default_factory=list)
+
+
+def update_three_rules(state: ListTrackState, reports):
     """The tracker update that handdepth.tracking.update replaced, kept as its oracle.
 
     Right and Left reports take the first free track of their identity,
     else adopt the nearest free unlabeled track; Single reports take the
-    nearest free track of any identity.
+    nearest free track of any identity, and with none start an unlabeled
+    track.
     """
     matched: set[int] = set()
     for report in reports:
@@ -462,7 +482,7 @@ def update_three_rules(state, reports):
                 track = min(candidates)[1]
         if track is None:
             identity = report.hand_id if report.hand_id is not HandId.SINGLE else None
-            state.tracks.append(_Track(identity=identity, x=report.palm.x, y=report.palm.y))
+            state.tracks.append(ListTrack(identity=identity, x=report.palm.x, y=report.palm.y))
             matched.add(len(state.tracks) - 1)
         else:
             t = state.tracks[track]

@@ -54,6 +54,15 @@ def as_sets(blobs, shape):
     return {pixel_set(b, shape) for b in blobs}
 
 
+def run_sets(mask, connectivity):
+    """The pixel sets of _label_runs' components, as as_sets gives them."""
+    roots, _, (run_y, start, end, component) = _label_runs(mask, connectivity)
+    sets = [set() for _ in roots]
+    for y, x0, x1, c in zip(run_y.tolist(), start.tolist(), end.tolist(), component):
+        sets[c].update((x, y) for x in range(x0, x1))
+    return {frozenset(s) for s in sets}
+
+
 def test_empty_mask_has_no_components():
     assert connected_components(np.zeros((4, 4), dtype=bool)) == []
 
@@ -62,7 +71,7 @@ def test_diagonal_pixels_connectivity():
     mask = np.zeros((3, 3), dtype=bool)
     mask[0, 0] = mask[1, 1] = True
     assert len(connected_components(mask)) == 1
-    assert len(connected_components(mask, connectivity=4)) == 2
+    assert len(run_sets(mask, 4)) == 2
 
 
 def test_components_match_flood_fill_exhaustive_3x3():
@@ -75,9 +84,8 @@ def test_components_match_flood_fill_random():
     rng = np.random.default_rng(55)
     for _ in range(150):
         mask = random_mask(rng, (16, 16))
-        for conn in (8, 4):
-            got = as_sets(connected_components(mask, connectivity=conn), mask.shape)
-            assert got == set(flood_fill_components(mask, connectivity=conn))
+        assert as_sets(connected_components(mask), mask.shape) == set(flood_fill_components(mask))
+        assert run_sets(mask, 4) == set(flood_fill_components(mask, connectivity=4))
 
 
 def test_components_partition_and_stats():
@@ -129,8 +137,8 @@ def labelling_cases():
 
 
 def assert_labelling_matches_oracles(mask):
-    for conn in (8, 4):
-        ref_labels, ref_stats = label_rowwise(mask, conn)
+    rowwise = {conn: label_rowwise(mask, conn) for conn in (8, 4)}
+    for conn, (ref_labels, _) in rowwise.items():
         roots, flat, runs = _label_runs(mask, conn)
         ref_roots, ref_flat, ref_runs = label_runs_unionfind(mask, conn)
         for a, b in zip((roots, flat, *runs), (ref_roots, ref_flat, *ref_runs), strict=True):
@@ -138,15 +146,17 @@ def assert_labelling_matches_oracles(mask):
         # a run's component is the row-wise label at its first pixel, less 1
         run_y, start, _, component = runs
         assert np.array_equal(component, ref_labels[run_y, start] - 1)
-        blobs = connected_components(mask, conn)
-        assert len(blobs) == len(ref_stats)
-        got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
-        assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
-        assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
-        # each bbox mask, laid at its bbox, is exactly the component's pixels
-        assert all(np.array_equal(placed(b, mask.shape), ref_labels == b.label) for b in blobs)
-        # flood fill finds components in raster order of their first pixel
-        assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask, conn)
+    # connected_components labels 8-connected
+    ref_labels, ref_stats = rowwise[8]
+    blobs = connected_components(mask)
+    assert len(blobs) == len(ref_stats)
+    got = [(b.label, b.area, b.bbox, b.centroid) for b in blobs]
+    assert got == [(lab, *st) for lab, st in enumerate(ref_stats, start=1)]
+    assert all(type(v) is int for b in blobs for v in (b.area, *b.bbox))
+    # each bbox mask, laid at its bbox, is exactly the component's pixels
+    assert all(np.array_equal(placed(b, mask.shape), ref_labels == b.label) for b in blobs)
+    # flood fill finds components in raster order of their first pixel
+    assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask)
 
 
 def test_labelling_matches_rowwise_labeller_and_flood_fill():

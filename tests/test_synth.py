@@ -304,6 +304,16 @@ def test_scene_from_dict_and_render_raise_only_package_errors(data):
         pass
 
 
+def test_corpus_scenes_and_frames_are_pinned():
+    # Digests of build_corpus(60, seed=9): its scene dicts and rendered samples.
+    scenes, frames = hashlib.sha256(), hashlib.sha256()
+    for scene in build_corpus(60, seed=9):
+        scenes.update(json.dumps(scene_to_dict(scene), sort_keys=True).encode())
+        frames.update(scene.render()[0].samples.tobytes())
+    assert scenes.hexdigest() == "c2b07c54bd490a25ac626d6d3bed7578d057a83ab1ff3088a750f7f9a92e706b"
+    assert frames.hexdigest() == "078ed00b6aa4d57991d0303f020267dbc40740efe7b853ee9e948df782e27dc6"
+
+
 def test_corpus_is_seeded_and_in_range():
     corpus = build_corpus(20, seed=7)
     again = build_corpus(20, seed=7)

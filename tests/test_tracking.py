@@ -9,11 +9,12 @@ from handdepth.tracking import (
     PINK,
     TrackState,
     WHITE,
+    _Track,
     label_hands,
     update,
 )
 
-from reference import deterministic, update_three_rules
+from reference import ListTrackState, deterministic, update_three_rules
 
 
 def obs(x, y, area=500):
@@ -78,38 +79,71 @@ def test_crossing_sequence_no_swaps():
     assert set(right_xs) == {160}  # Right stays the y=160 hand throughout
 
 
+def two_hand_birth(state, right=(10, 10), left=(-30, 10)):
+    """Start a Right and a Left track at the given palms."""
+    update(state, label_hands([obs(*left), obs(*right)], state))
+    assert [(k, t.x, t.y) for k, t in state.tracks.items()] == [
+        (HandId.RIGHT, *right), (HandId.LEFT, *left)]
+
+
 def test_update_drops_after_max_misses():
     state = TrackState(max_misses=5)
-    update(state, label_hands([obs(10, 10)], state))
-    assert len(state.tracks) == 1
-    for _ in range(5):
+    two_hand_birth(state)
+    update(state, label_hands([obs(10, 10)], state))  # the Right hand alone
+    assert [t.misses for t in state.tracks.values()] == [0, 1]
+    for _ in range(4):
         update(state, [])
-    assert state.tracks == []
+    assert list(state.tracks) == [HandId.RIGHT]  # Left reached five misses
+    update(state, [])
+    assert state.tracks == {}
 
 
 def test_update_survives_brief_dropout():
     state = TrackState(max_misses=5)
-    update(state, label_hands([obs(10, 10)], state))
+    two_hand_birth(state)
     for _ in range(4):
         update(state, [])
-    assert len(state.tracks) == 1  # four misses: still alive
+    assert [t.misses for t in state.tracks.values()] == [4, 4]  # four misses: still alive
 
 
 def test_stationary_hand_keeps_position():
     state = TrackState()
+    two_hand_birth(state, right=(33, 44))
     for _ in range(6):
         update(state, label_hands([obs(33, 44)], state))
-    (track,) = state.tracks
+    track = state.tracks[HandId.RIGHT]
     assert (track.x, track.y) == (33, 44)
     assert track.misses == 0
 
 
 def test_moving_hand_follows():
     state = TrackState()
+    two_hand_birth(state, right=(10, 20), left=(-40, 20))
     for frame in range(10):
         update(state, label_hands([obs(10 + 3 * frame, 20)], state))
-        (track,) = state.tracks
+        track = state.tracks[HandId.RIGHT]
         assert (track.x, track.y) == (10 + 3 * frame, 20)
+
+
+def test_a_lone_hand_starts_no_track():
+    state = TrackState()
+    for frame in range(7):
+        update(state, label_hands([obs(10 + frame, 20)], state))
+        assert state.tracks == {}
+    hands = [obs(60, 50), obs(220, 50)]
+    fresh = TrackState()
+    assert label_hands(hands, state) == label_hands(hands, fresh)
+    update(state, label_hands(hands, state))
+    update(fresh, label_hands(hands, fresh))
+    assert state == fresh
+
+
+def test_a_lone_hand_midway_moves_the_older_track():
+    state = TrackState()
+    two_hand_birth(state)  # Right at x=10 first, then Left at x=-30
+    update(state, label_hands([obs(-10, 10)], state))
+    assert [(k, t.x, t.misses) for k, t in state.tracks.items()] == [
+        (HandId.RIGHT, -10, 0), (HandId.LEFT, -30, 1)]
 
 
 def test_single_then_two_hands_keeps_identity():
@@ -148,15 +182,14 @@ palm_sequences = st.lists(
 @deterministic
 @given(palm_sequences, st.integers(1, 6))
 def test_one_matching_rule_equals_the_three_rule_update(frames, max_misses):
-    new, old = TrackState(max_misses=max_misses), TrackState(max_misses=max_misses)
+    new, old = TrackState(max_misses=max_misses), ListTrackState(max_misses=max_misses)
     for palms in frames:
         hands = [obs(x, y) for x, y in palms]
         reports = label_hands(hands, new)
-        assert reports == label_hands(hands, old)
+        # the old label_hands read only the named tracks, by identity
+        named = {t.identity: _Track(t.x, t.y, t.misses) for t in old.tracks if t.identity}
+        assert reports == label_hands(hands, TrackState(max_misses, named))
         update(new, reports)
         update_three_rules(old, reports)
-        tracks = [(t.identity, t.x, t.y, t.misses) for t in new.tracks]
-        assert tracks == [(t.identity, t.x, t.y, t.misses) for t in old.tracks]
-        identities = [t.identity for t in new.tracks]
-        assert len(set(identities)) == len(identities)  # at most one track per identity
-        assert None not in identities or len(identities) == 1  # unnamed only when alone
+        tracks = [(k, t.x, t.y, t.misses) for k, t in new.tracks.items()]
+        assert tracks == [(t.identity, t.x, t.y, t.misses) for t in old.tracks if t.identity]
