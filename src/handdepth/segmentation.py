@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .errors import DomainError, NotFoundError
+from .errors import NotFoundError
 from .frame_io import DepthFrame
 
 
@@ -214,9 +214,7 @@ def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np
     """The raw codes within +/- band_cm of the seed's depth."""
     if not (math.isfinite(band_cm) and band_cm > 0):
         raise ValueError(f"band_cm must be finite and positive, not {band_cm!r}")
-    if not 0 <= seed.depth_raw <= params.raw_valid_max:
-        raise DomainError(f"seed depth raw={seed.depth_raw} is not a valid measurement")
-    seed_cm = raw_to_cm(seed.depth_raw, params)
+    seed_cm = raw_to_cm(seed.depth_raw, params)  # DomainError unless a valid measurement
     return np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
 
 

@@ -286,9 +286,8 @@ def random_hand_spec(
     count = int(rng.integers(1, 6))
     lengths = tuple(radius * rng.uniform(1.1, 1.4) for _ in range(count))
     widths = tuple(radius * rng.uniform(0.30, 0.42) for _ in range(count))
-    reach = radius + max(
-        (L + w / 2 for L, w in zip(lengths, widths)), default=radius
-    )
+    s_max = max(L + w / 2 for L, w in zip(lengths, widths))
+    reach = radius + s_max
     margin = reach + 3
     lo_x, lo_y, hi_x, hi_y = center_box or (0, 0, width - 1, height - 1)
     lo_x, lo_y = max(lo_x, margin), max(lo_y, margin)
@@ -299,15 +298,14 @@ def random_hand_spec(
 
     base_raw = cm_to_raw(depth_cm, DEFAULT_CALIBRATION)
     per_raw = cm_per_raw(base_raw, DEFAULT_CALIBRATION)
-    s_max = max((L + w / 2 for L, w in zip(lengths, widths)), default=1.0)
     metric_target = rng.uniform(3.0, 6.0)
-    slope = max(4.0 / min(widths), metric_target / (per_raw * s_max)) if count else 0.0
+    slope = max(4.0 / min(widths), metric_target / (per_raw * s_max))
     return HandSpec(
         palm_center=center,
         palm_radius=radius,
         finger_count=count,
-        finger_length=lengths if count else (),
-        finger_width=widths if count else (),
+        finger_length=lengths,
+        finger_width=widths,
         orientation_deg=float(rng.uniform(0, 360)),
         finger_spread_deg=float(rng.uniform(30, 38)),
         base_depth_cm=depth_cm,
@@ -338,6 +336,10 @@ def build_corpus(
         )
     return scenes
 
+
+# A one-hand render peaks near 100 bytes per pixel, so this caps a scene
+# file's frame at about 430 MB of rendering instead of an allocation failure.
+MAX_FRAME_PIXELS = 2048 * 2048
 
 _HAND_KEYS = {f.name for f in fields(HandSpec)}
 _SCENE_KEYS = {f.name for f in fields(Scene)}
@@ -383,6 +385,8 @@ def scene_from_dict(data: dict) -> Scene:
     if not (isinstance(size, (list, tuple)) and len(size) == 2
             and all(type(v) is int and v > 0 for v in size)):
         raise ConfigError(f"frame_size must be two positive integers, got {size!r}")
+    if size[0] * size[1] > MAX_FRAME_PIXELS:
+        raise ConfigError(f"frame_size {list(size)} exceeds {MAX_FRAME_PIXELS} pixels (2048x2048)")
     noise_seed = data.get("noise_seed", 0)
     if type(noise_seed) is not int or noise_seed < 0:
         raise ConfigError(f"noise_seed must be a non-negative integer, got {noise_seed!r}")

@@ -169,6 +169,19 @@ def test_tiny_h_detects_and_bench_exits_2(tmp_path, frame_dir, h):
         assert done.returncode == code and "Traceback" not in done.stderr
 
 
+def test_import_loads_only_the_detector():
+    code = ("import sys, handdepth; "
+            "print(sorted(m for m in ('handdepth.synthetic', 'handdepth.benchmark', 'handdepth.cli')"
+            " if m in sys.modules)); "
+            "print([n for n in ('PipelineConfig', 'read_pgm', 'run_pipeline', 'write_report')"
+            " if not hasattr(handdepth, n)])")
+    env = {**os.environ, "PYTHONPATH": str(Path(handdepth.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_synth_scene_file_round_trip(tmp_path, scene):
     scene_file = tmp_path / "scenes.json"
     scene_file.write_text(json.dumps({"scenes": [scene_to_dict(scene)]}))
@@ -220,6 +233,12 @@ def test_bench_bad_scene_file(tmp_path, capsys):
         assert main(["bench", "--scenes", str(bad)]) == 2
         assert main(["synth", "--scenes", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
     assert "Traceback" not in capsys.readouterr().err
+    # rejected before anything is allocated: rendering it would need ~10**20 bytes
+    bad.write_text(json.dumps({"scenes": [{"hands": [], "frame_size": [1000000000, 1000000000]}]}))
+    for args in (["bench"], ["synth", "--out-dir", str(tmp_path / "out")]):
+        assert main([*args, "--scenes", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and err.count("error:") == 1
 
 
 def test_convert_round_trip(tmp_path, scene):

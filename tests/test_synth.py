@@ -222,6 +222,8 @@ def test_scene_unknown_keys_rejected():
         scene_from_dict({"hands": [], "sensor": "imaginary"})
     hand = scene_to_dict(Scene(hands=(basic_spec(),)))["hands"][0]
     for bad in ([], {"hands": [], "frame_size": "x"}, {"hands": [], "frame_size": [320.0, 240]},
+                {"hands": [], "frame_size": [1000000000, 1000000000]},
+                {"hands": [], "frame_size": [2049, 2048]},
                 {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5},
                 {"hands": [hand], "background_depth_cm": float("nan")},
                 {"hands": [hand], "background_depth_cm": float("inf")},
