@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -47,14 +47,17 @@ class CalibrationParams:
 
     def __post_init__(self) -> None:
         for name in ("h_rad", "k_cm", "l_rad", "o_cm"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"calibration parameter {name} must be finite")
+            value = getattr(self, name)
+            # bool is an int subclass, so True would pass as 1
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise DomainError(f"calibration parameter {name} must be a finite number, "
+                                  f"not {value!r}")
         if self.h_rad <= 0 or self.k_cm <= 0:
             raise DomainError("h_rad and k_cm must be positive")
         if self.l_rad <= -math.pi / 2:
             # a second pole at h*raw + l = -pi/2 would break monotonicity
             raise DomainError("l_rad must exceed -pi/2")
-        # bool is an int subclass; cm_table takes the codes 0..raw_valid_max
+        # cm_table takes the codes 0..raw_valid_max
         if isinstance(self.raw_valid_max, bool) or not isinstance(self.raw_valid_max, Integral):
             raise DomainError(f"raw_valid_max must be an integer, not {self.raw_valid_max!r}")
         if not 0 <= self.raw_valid_max <= RAW_CEILING:

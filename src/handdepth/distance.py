@@ -98,19 +98,17 @@ def distance_transform(mask: np.ndarray) -> np.ndarray:
     return sq_edt(target)[1:-1, 1:-1]
 
 
-def find_palm_center(dist: np.ndarray, hand_mask: np.ndarray) -> PalmCenter:
-    """Argmax of the distance map over the hand's pixels.
+def find_palm_center(dist: np.ndarray) -> PalmCenter:
+    """Argmax of a hand's distance_transform.
 
-    Ties resolve to the smallest y, then the smallest x.  Raises
-    DegenerateHandError when the hand is nowhere farther than one pixel
-    from background (no palm body to speak of).
+    Ties resolve to the smallest y, then the smallest x.  The map holds
+    0 off the hand and at least 1 on it, so a maximum above 1 lies on the
+    hand.  Raises DegenerateHandError when the hand is nowhere farther
+    than one pixel from background (no palm body to speak of).
     """
-    if dist.shape != hand_mask.shape:
-        raise ValueError("distance map and hand mask shapes differ")
-    vals = np.where(hand_mask, dist, -1)
-    best = int(vals.max())
+    flat = int(np.argmax(dist))  # first max in row-major order: min y, then min x
+    y, x = divmod(flat, dist.shape[1])
+    best = int(dist[y, x])
     if best <= 1:
         raise DegenerateHandError("hand mask is thinner than 2 px everywhere")
-    flat = int(np.argmax(vals))  # first max in row-major order: min y, then min x
-    y, x = divmod(flat, vals.shape[1])
     return PalmCenter(x=x, y=y, inradius_px=math.sqrt(best))

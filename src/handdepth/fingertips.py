@@ -19,6 +19,8 @@ from .segmentation import Blob
 
 @dataclass(frozen=True)
 class Fingertip:
+    """A finger's minimum-depth pixel; ``finger_index`` is the finger's rank by area."""
+
     x: int
     y: int
     depth_cm: float
@@ -31,6 +33,9 @@ def detect_fingertips(
     params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> list[Fingertip]:
     """One fingertip per finger, indexed by position in the input list.
+
+    On finger_masks' list, largest first, ``finger_index`` is the
+    finger's rank by area (0 for the largest).
 
     ``samples`` holds the raw depths of the array the fingers were
     labelled in (a hand's crop of a DepthFrame's samples).

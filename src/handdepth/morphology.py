@@ -12,12 +12,10 @@ count as background.
 
 One distance map per hand gives the palm inradius, the erosion and the
 palm-center argmax.  The fingers are the connected remnants of the hand
-minus its palm.
+minus its palm: a set, kept largest first, with no order around the palm.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -65,24 +63,15 @@ def default_min_finger_area(hand_area: int) -> int:
     return max(4, round(0.05 * hand_area / 5))
 
 
-def finger_masks(
-    hand_mask: np.ndarray,
-    palm_mask: np.ndarray,
-    min_finger_area: int,
-    palm_center: tuple[float, float],
-) -> list[Blob]:
-    """Connected remnants of hand minus palm as Blobs, filtered and ordered.
+def finger_masks(hand_mask: np.ndarray, palm_mask: np.ndarray, min_finger_area: int) -> list[Blob]:
+    """Connected remnants of hand minus palm as Blobs: at most five, largest first.
 
     Components smaller than ``min_finger_area`` are discarded (they are
     usually 1-2 px slivers where the opening undercut the palm rim); at
-    most the five largest survive, ordered by the angle of their centroid
-    around the palm center.  Each finger is its bbox and bbox-local mask
-    within the hand's array.  An empty list is a valid outcome (a fist).
+    most the five largest survive, ties on area in the raster order of
+    their first pixels.  The palm mask is the hand's opening, so it lies
+    inside the hand.  Each finger is its bbox and bbox-local mask within
+    the hand's array.  An empty list is a valid outcome (a fist).
     """
-    if (palm_mask & ~hand_mask).any():
-        raise ValueError("palm mask must be a subset of the hand mask")
     blobs = [b for b in connected_components(hand_mask & ~palm_mask) if b.area >= min_finger_area]
-    largest = sorted(blobs, key=lambda b: (-b.area, b.label))[:5]
-    px, py = palm_center
-    largest.sort(key=lambda b: (math.atan2(b.centroid[1] - py, b.centroid[0] - px), b.label))
-    return largest
+    return sorted(blobs, key=lambda b: -b.area)[:5]  # stable: ties stay in raster order

@@ -112,10 +112,9 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     hand = fill_holes(blob.mask)
 
     dist = distance_transform(hand)
-    palm = find_palm_center(dist, hand)
+    palm = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))
-    fingers = finger_masks(hand, palm_mask, default_min_finger_area(int(hand.sum())),
-                           (palm.x, palm.y))
+    fingers = finger_masks(hand, palm_mask, default_min_finger_area(int(hand.sum())))
     tips = detect_fingertips(frame.samples[blob.box], fingers, config.calibration)
     return (
         replace(palm, x=palm.x + x0, y=palm.y + y0),

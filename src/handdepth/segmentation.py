@@ -15,7 +15,8 @@ touch across rows by binary search, merges them by hook and compress
 (Shiloach & Vishkin, J. Algorithms 1982): each round, every root joined
 to another hooks onto the least root it touches and pointers jump to the
 roots, until no pair joins two roots.  A hook only goes to a smaller run
-index, so a root is its component's first run in raster order.  Stats
+index, so a root is its component's first run in raster order, and the
+components come out in the raster order of their first pixels.  Stats
 come from the same runs (run-based labelling, He, Chao & Suzuki, IEEE
 TIP 2008).  Each component is its bbox and a boolean mask of the bbox's
 shape, painted from its own runs; no frame-sized label image is built.
@@ -71,19 +72,15 @@ class HandSeed:
 
 @dataclass(eq=False)
 class Blob:
-    """One maximal connected foreground component.
+    """One maximal connected foreground component: its area, bbox and mask.
 
     ``mask`` has the bbox's shape and marks the component's pixels in
     it; ``box`` places it in the labelled array.  The blob holds no
-    frame-sized label image.  ``label`` only orders the blobs of one
-    labelling (raster order of their first pixel); blobs from different
-    labellings, such as a seed's slab and its band, do not share it.
+    frame-sized label image.
     """
 
-    label: int
     area: int
     bbox: tuple[int, int, int, int]  # min_x, min_y, max_x, max_y (inclusive)
-    centroid: tuple[float, float]  # (x, y)
     mask: np.ndarray = field(repr=False)  # bool, (max_y - min_y + 1, max_x - min_x + 1)
 
     @property
@@ -158,6 +155,7 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
 def connected_components(mask: np.ndarray) -> list[Blob]:
     """Maximal 8-connected components of the foreground as Blob records.
 
+    The list is in the raster order of each component's first pixel.
     Stats come from the labelled runs, never from a rescan of the mask.
     Every blob's bbox mask is a view into one buffer that holds them all
     back to back, painted in one scatter of the foreground pixels.
@@ -165,19 +163,14 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     roots, flat, (run_y, start, end, component) = _label_runs(mask, 8)
     count, length = len(roots), end - start
 
-    def total(weights: np.ndarray) -> list[int]:
-        # float64 sums of integers stay exact far beyond any frame's totals (2**53)
-        return np.bincount(component, weights=weights, minlength=count).astype(np.int64).tolist()
-
     def extreme(reduce: np.ufunc, values: np.ndarray, init: int) -> np.ndarray:
         out = np.full(count, init)
         reduce.at(out, component, values)
         return out
 
     w = np.shape(mask)[1]
-    area = total(length)
-    sum_x = total(length * (start + end - 1) // 2)  # the run's x sum, an integer
-    sum_y = total(length * run_y)
+    # float64 sums of integers stay exact far beyond any frame's totals (2**53)
+    area = np.bincount(component, weights=length, minlength=count).astype(np.int64).tolist()
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
     max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
     # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so its
@@ -188,11 +181,11 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     buf = np.zeros(int(off[-1]), dtype=bool)
     base = off[:-1] - min_y * box_w - min_x
     buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
-    stats = zip(area, sum_x, sum_y, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
-    return [  # positional fields: label, area, bbox, centroid, mask
-        Blob(lab, a, (x0, y0, x1, y1), (sx / a, sy / a),
+    stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
+    return [
+        Blob(a, (x0, y0, x1, y1),
              buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1))
-        for lab, (a, sx, sy, x0, y0, x1, y1, o) in enumerate(stats, start=1)
+        for a, x0, y0, x1, y1, o in stats
     ]
 
 
@@ -259,7 +252,7 @@ def find_hand_seeds(
     blobs = [b for b in connected_components(_table_mask(in_slab, samples)) if b.area >= min_area]
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
-    blobs.sort(key=lambda b: (-b.area, b.label))
+    blobs.sort(key=lambda b: -b.area)  # stable: ties stay in raster order
     return [HandSeed(*blob.lowest(samples), slab=(blob, in_slab)) for blob in blobs[:max_hands]]
 
 
@@ -276,8 +269,7 @@ def segment_hand(
 
     - every raw code of the band is a slab code and every pixel of the
       seed's slab blob is in the band: that blob is returned itself, so
-      its ``label`` comes from the slab labelling and its mask is a
-      view into that labelling's shared buffer;
+      its mask is a view into the slab labelling's shared buffer;
     - otherwise, or for a seed without a slab: the band is labelled
       over the whole frame.
     """

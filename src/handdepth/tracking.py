@@ -106,8 +106,8 @@ def label_hands(hands: list[HandObservation], state: TrackState) -> list[HandRep
     return ordered
 
 
-def update(state: TrackState, reports: list[HandReport]) -> TrackState:
-    """Refresh tracks from label_hands' reports for this frame.
+def update(state: TrackState, reports: list[HandReport]) -> None:
+    """Refresh ``state``'s tracks in place from label_hands' reports for this frame.
 
     A Right or Left report sets its own track, starting it if need be.
     A Single report sets the nearer track (the older on a tie) and
@@ -128,4 +128,3 @@ def update(state: TrackState, reports: list[HandReport]) -> TrackState:
         if hand_id not in seen:
             t.misses += 1
     state.tracks = {k: t for k, t in state.tracks.items() if t.misses < state.max_misses}
-    return state

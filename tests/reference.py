@@ -19,7 +19,8 @@ from hypothesis import settings, strategies as st
 
 from handdepth import segmentation
 from handdepth.calibration import RAW_CEILING, raw_to_cm
-from handdepth.errors import DomainError
+from handdepth.distance import PalmCenter
+from handdepth.errors import DegenerateHandError, DomainError
 from handdepth.segmentation import connected_components, select_hand_blob
 from handdepth.tracking import HandId
 
@@ -55,6 +56,20 @@ def edt_bruteforce(mask: np.ndarray) -> np.ndarray:
     ys, xs = np.mgrid[0:h, 0:w]
     d = (ys.ravel()[:, None] - by[None, :]) ** 2 + (xs.ravel()[:, None] - bx[None, :]) ** 2
     return d.min(axis=1).reshape(h, w)[1:-1, 1:-1].astype(np.int64)
+
+
+def palm_center_masked(dist: np.ndarray, hand_mask: np.ndarray) -> PalmCenter:
+    """find_palm_center as it was with an argmax over the hand's pixels only, kept as its oracle.
+
+    The first maximum of ``dist`` over ``hand_mask`` in row-major order;
+    DegenerateHandError unless that maximum exceeds 1.
+    """
+    vals = np.where(hand_mask, dist, -1)
+    best = int(vals.max())
+    if best <= 1:
+        raise DegenerateHandError("hand mask is thinner than 2 px everywhere")
+    y, x = divmod(int(np.argmax(vals)), vals.shape[1])
+    return PalmCenter(x=x, y=y, inradius_px=math.sqrt(best))
 
 
 def sq_edt_bruteforce(target: np.ndarray) -> np.ndarray:
@@ -229,8 +244,8 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
 
     The labeller the library used before its runs were found in one
     vectorised pass, kept as the equivalence oracle.  Returns the int32
-    label image and, per label in order, ``(area, bbox, centroid)`` with
-    bbox ``(min_x, min_y, max_x, max_y)`` and centroid ``(x, y)``.
+    label image and, per label in order, ``(area, bbox)`` with bbox
+    ``(min_x, min_y, max_x, max_y)``.
     """
 
     def row_runs(row):
@@ -275,16 +290,11 @@ def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, 
         for a, b in row_runs(labels[y] > 0):
             lab, a, b, n = int(labels[y, a]), int(a), int(b), int(b - a)
             if stats[lab - 1] is None:
-                stats[lab - 1] = [0, a, y, b - 1, y, 0, 0]
+                stats[lab - 1] = [0, a, y, b - 1, y]
             st = stats[lab - 1]
             st[0] += n
             st[1], st[3], st[4] = min(st[1], a), max(st[3], b - 1), y
-            st[5] += n * (a + b - 1) // 2
-            st[6] += n * y
-    return labels, [
-        (area, (x0, y0, x1, y1), (sx / area, sy / area))
-        for area, x0, y0, x1, y1, sx, sy in stats
-    ]
+    return labels, [(area, (x0, y0, x1, y1)) for area, x0, y0, x1, y1 in stats]
 
 
 def label_runs_unionfind(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, tuple]:
@@ -425,8 +435,8 @@ def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
 
 
 def blob_key(blob) -> tuple:
-    """Everything of a blob but its label, which only orders one labelling."""
-    return blob.area, blob.bbox, blob.centroid, blob.mask.shape, blob.mask.tobytes()
+    """A blob's area, bbox and mask as a tuple that compares by value."""
+    return blob.area, blob.bbox, blob.mask.shape, blob.mask.tobytes()
 
 
 @dataclass

@@ -91,7 +91,7 @@ def _palm_argmax_tie_set(blob, shape):
 
     hand = fill_holes(placed(blob, shape))
     dist = distance_transform(hand)
-    seed = find_palm_center(dist, hand)
+    seed = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(seed.inradius_px))
     vals = np.where(palm_mask, dist, -1)
     ys, xs = np.nonzero(vals == vals.max())

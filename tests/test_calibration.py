@@ -161,6 +161,12 @@ def test_params_validation():
         CalibrationParams(raw_valid_max=2047)
     with pytest.raises(DomainError):
         CalibrationParams(raw_valid_max=1117)  # past the pole bound
+    for name in ("h_rad", "k_cm", "l_rad", "o_cm"):
+        for value in (True, False, "1.0", None, [1.0]):  # bool is an int subclass
+            with pytest.raises(DomainError, match=name):
+                CalibrationParams(**{name: value})
+    numpy_values = CalibrationParams(k_cm=np.float64(12.36), o_cm=np.int64(4))
+    assert numpy_values.cm_table[700] == pytest.approx(raw_to_cm(700) - 0.3)
 
 
 def test_cm_per_raw_matches_finite_differences():

@@ -122,7 +122,8 @@ def test_detect_rejects_unknown_config_key(tmp_path, frame_dir):
 
 
 @pytest.mark.parametrize(
-    "calibration", [{"h": "abc"}, {"raw_valid_max": "x"}, {"h": None}, {"l": -1.6}]
+    "calibration", [{"h": "abc"}, {"raw_valid_max": "x"}, {"h": None}, {"l": -1.6},
+                    {"k": True, "o": False}, {"l": False}, {"o": True}]
 )
 def test_detect_and_bench_reject_mistyped_calibration(tmp_path, frame_dir, capsys, calibration):
     cfg = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from reference import (
     edge_masks,
     edt_bruteforce,
     masks,
+    palm_center_masked,
     random_mask,
     sq_edt_bruteforce,
     sq_edt_envelope,
@@ -181,8 +182,8 @@ def test_translation_equivariance():
     b[9:17, 11:19] = blob
     da, db = distance_transform(a), distance_transform(b)
     assert (da[4:12, 5:13] == db[9:17, 11:19]).all()
-    pa = find_palm_center(da, a)
-    pb = find_palm_center(db, b)
+    pa = find_palm_center(da)
+    pb = find_palm_center(db)
     assert (pb.x - pa.x, pb.y - pa.y) == (6, 5)
     assert pa.inradius_px == pb.inradius_px
 
@@ -197,7 +198,7 @@ def test_rotation_equivariance_of_transform():
 def test_palm_center_of_centered_disk():
     ys, xs = np.ogrid[:32, :32]
     disk = (xs - 16) ** 2 + (ys - 16) ** 2 <= 100
-    center = find_palm_center(distance_transform(disk), disk)
+    center = find_palm_center(distance_transform(disk))
     assert (center.x, center.y) == (16, 16)
     assert center.inradius_px == pytest.approx(10.0, abs=0.8)
 
@@ -205,7 +206,7 @@ def test_palm_center_of_centered_disk():
 def test_palm_center_of_bar_tie_breaks_leftmost():
     bar = np.zeros((9, 50), dtype=bool)
     bar[3:6, 5:45] = True
-    center = find_palm_center(distance_transform(bar), bar)
+    center = find_palm_center(distance_transform(bar))
     assert (center.x, center.y) == (6, 4)
     assert center.inradius_px == 2.0
 
@@ -214,7 +215,7 @@ def test_degenerate_hand_rejected():
     line = np.zeros((9, 20), dtype=bool)
     line[4, 2:18] = True
     with pytest.raises(DegenerateHandError):
-        find_palm_center(distance_transform(line), line)
+        find_palm_center(distance_transform(line))
 
 
 def test_far_background_does_not_move_center():
@@ -222,13 +223,35 @@ def test_far_background_does_not_move_center():
     ys, xs = np.ogrid[:40, :40]
     disk = (xs - 12) ** 2 + (ys - 12) ** 2 <= 64
     frame |= disk
-    base = find_palm_center(distance_transform(frame), frame)
+    base = find_palm_center(distance_transform(frame))
     toggled = frame.copy()
     toggled[35:38, 35:38] = True  # unrelated distant blob
-    moved = find_palm_center(distance_transform(toggled), disk)
+    moved = find_palm_center(distance_transform(toggled))
     assert (moved.x, moved.y, moved.inradius_px) == (base.x, base.y, base.inradius_px)
 
 
-def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        find_palm_center(np.zeros((3, 3), dtype=np.int64), np.zeros((4, 4), dtype=bool))
+def palm_center_matches_masked_argmax(mask) -> bool:
+    """Asserts find_palm_center on the mask's distance map equals the masked argmax.
+
+    Returns whether the mask is degenerate (both raise DegenerateHandError).
+    """
+    dist = distance_transform(mask)
+    try:
+        want = palm_center_masked(dist, mask)
+    except DegenerateHandError:
+        with pytest.raises(DegenerateHandError):
+            find_palm_center(dist)
+        return True
+    assert find_palm_center(dist) == want
+    return False
+
+
+def test_palm_center_matches_masked_argmax_on_edge_masks():
+    degenerate = [palm_center_matches_masked_argmax(mask) for mask in edge_masks()]
+    assert any(degenerate) and not all(degenerate)
+
+
+@deterministic
+@given(masks)
+def test_palm_center_matches_masked_argmax_on_random_masks(mask):
+    palm_center_matches_masked_argmax(mask)

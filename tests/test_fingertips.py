@@ -115,8 +115,8 @@ def test_synthetic_tips_found_exactly():
     )
     frame, truth = render_hand(spec, (180, 180), 170)
     dist = distance_transform(truth.support)
-    center = find_palm_center(dist, truth.support)
+    center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    fingers = finger_masks(truth.support, palm, 12)
     tips = detect_fingertips(frame.samples, fingers)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)

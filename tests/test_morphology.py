@@ -15,6 +15,7 @@ from reference import (
     erode_setdef,
     masks,
     opening_setdef,
+    palm_center_masked,
     placed,
     random_mask,
 )
@@ -143,11 +144,11 @@ def palm_centers_agree(mask: np.ndarray) -> int:
     agreed = 0
     for factor in (0.1, 0.5, 0.7, 0.9, 0.99):
         try:
-            palm = find_palm_center(dist, mask)
+            palm = find_palm_center(dist)
             palm_mask = extract_palm(dist, max(1, round(factor * palm.inradius_px)))
         except (DegenerateHandError, EmptyResultError):
             continue
-        assert find_palm_center(dist, palm_mask) == palm
+        assert palm_center_masked(dist, palm_mask) == palm
         agreed += 1
     return agreed
 
@@ -205,7 +206,7 @@ def test_extract_palm_on_synthetic_hand():
     )
     _, truth = render_hand(spec, (200, 200), 160)
     dist = distance_transform(truth.support)
-    center = find_palm_center(dist, truth.support)
+    center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     cx, cy = truth.palm_center
     assert palm[cy, cx]
@@ -245,23 +246,23 @@ def make_hand_and_palm(finger_count, orientation):
     )
     _, truth = render_hand(spec, (200, 200), 160)
     dist = distance_transform(truth.support)
-    center = find_palm_center(dist, truth.support)
+    center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    return truth, palm, center
+    return truth, palm
 
 
 def test_finger_masks_counts():
-    truth, palm, center = make_hand_and_palm(5, 10)
-    masks = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    truth, palm = make_hand_and_palm(5, 10)
+    masks = finger_masks(truth.support, palm, 12)
     assert len(masks) == 5
-    truth2, palm2, center2 = make_hand_and_palm(2, 137)
-    masks2 = finger_masks(truth2.support, palm2, 12, (center2.x, center2.y))
+    truth2, palm2 = make_hand_and_palm(2, 137)
+    masks2 = finger_masks(truth2.support, palm2, 12)
     assert len(masks2) == 2
 
 
 def test_finger_masks_disjoint_and_outside_palm():
-    truth, palm, center = make_hand_and_palm(4, 200)
-    fingers = finger_masks(truth.support, palm, 12, (center.x, center.y))
+    truth, palm = make_hand_and_palm(4, 200)
+    fingers = finger_masks(truth.support, palm, 12)
     union = np.zeros_like(palm)
     for mask in (placed(finger, palm.shape) for finger in fingers):
         assert not (mask & palm).any()
@@ -272,20 +273,25 @@ def test_finger_masks_disjoint_and_outside_palm():
 
 def test_finger_masks_fist_is_empty():
     disk = centered_disk(15, 41)
-    assert finger_masks(disk, disk, 4, (20.0, 20.0)) == []
-
-
-def test_finger_masks_requires_subset():
-    disk = centered_disk(10, 41)
-    other = np.zeros_like(disk)
-    other[0, 0] = True
-    with pytest.raises(ValueError):
-        finger_masks(disk, other, 4, (20.0, 20.0))
+    assert finger_masks(disk, disk, 4) == []
 
 
 def test_finger_masks_area_filter_drops_slivers():
     disk = centered_disk(12, 41)
     hand = disk.copy()
     hand[3, 20] = True  # lone speck off the palm
-    masks = finger_masks(hand, disk, 4, (20.0, 20.0))
+    masks = finger_masks(hand, disk, 4)
     assert masks == []
+
+
+def test_finger_masks_keeps_the_five_largest_largest_first():
+    palm = centered_disk(8, 61)
+    hand = palm.copy()
+    # one-row fingers (y, x0, length) clear of the palm and of each other
+    for y, x0, length in ((2, 2, 12), (2, 20, 20), (5, 2, 20), (58, 2, 30),
+                          (55, 2, 8), (55, 40, 16), (50, 2, 25)):
+        hand[y, x0:x0 + length] = True
+    fingers = finger_masks(hand, palm, 4)
+    assert [f.area for f in fingers] == [30, 25, 20, 20, 16]
+    # equal areas keep the raster order of their first pixels
+    assert [f.bbox[:2] for f in fingers] == [(2, 58), (2, 50), (20, 2), (2, 5), (40, 55)]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 import tracemalloc
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handdepth import morphology, pipeline, segmentation
+from handdepth.benchmark import run_benchmark
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw, raw_to_cm
 from handdepth.errors import ConfigError
-from handdepth.frame_io import DepthFrame, write_report
+from handdepth.frame_io import DepthFrame, write_overlay, write_report
 from handdepth.pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -402,3 +404,51 @@ def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
         hands = extract_hands(frame, CFG)
         assert hands
         assert calls == [frame.samples.shape] + [blob.mask.shape for _, _, blob in hands]
+
+
+def crossing_stream(n=24):
+    """Two hands drifting toward each other over ``n`` QVGA frames, with gaps.
+
+    Every seventh frame drops the left hand and frame 10 holds no
+    measurement at all, so the tracker sees births, misses and returns.
+    """
+    frames = []
+    for i in range(n):
+        t = i / (n - 1)
+        a = HandSpec(palm_center=(60 + 50 * t, 100 + 30 * t), palm_radius=22, finger_count=5,
+                     finger_length=28, finger_width=8, orientation_deg=190 + 25 * t,
+                     base_depth_cm=80 + 6 * t, tip_slope=2)
+        b = HandSpec(palm_center=(260 - 50 * t, 140 - 30 * t), palm_radius=20, finger_count=4,
+                     finger_length=26, finger_width=8, orientation_deg=-20 + 30 * t,
+                     base_depth_cm=86 - 6 * t, tip_slope=2)
+        if i == 10:
+            frames.append(DepthFrame(np.full((240, 320), RAW_SENTINEL, dtype=np.uint16)))
+            continue
+        specs = [b] if i % 7 == 3 else [a, b]
+        frames.append(render_scene(specs, (320, 240), 190, noise_seed=i, dropout_rate=0.02)[0])
+    return frames
+
+
+def output_digests(frames):
+    """SHA-256 of the report lines and of the overlays of one run over ``frames``."""
+    reports, overlays = hashlib.sha256(), hashlib.sha256()
+    for frame, report in zip(frames, run_pipeline(iter(frames), CFG)):
+        reports.update(write_report(report) + b"\n")
+        overlays.update(write_overlay(frame, report.hands))
+    return reports.hexdigest(), overlays.hexdigest()
+
+
+def test_reports_overlays_and_benchmark_are_pinned():
+    # Any change to what the detector reports changes one of these digests.
+    corpus = [scene.render()[0] for scene in build_corpus(60, seed=9)]
+    assert output_digests(corpus) == (
+        "6aeba7977383f075ca5c47d757c98bf8d03faab6cb007fd058a3b69188225b7b",
+        "77e8ce6eb675357ce9c84b8e9f20c8be418dc27d4c17c18563162b45fd42b5e1",
+    )
+    assert output_digests(crossing_stream()) == (
+        "f4087967e62de47a61ebbf8997d9d8d72201d652173ac5ee53226ff879bb781a",
+        "421522466589bf6a8413a5d8060c7300e202fd7321bb4badf8c2ed8367aa4251",
+    )
+    bench = json.dumps(run_benchmark(build_corpus(50, seed=3), PipelineConfig()), sort_keys=True)
+    assert hashlib.sha256(bench.encode()).hexdigest() == (
+        "328173cbf76000eb61a43f394a15f480fda2c3fa3f0bcaf152e0c7bde8de1b70")
