@@ -20,11 +20,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, number
 
 RAW_SENTINEL = 2047
 RAW_CEILING = 2046  # largest raw value that could ever carry a measurement
@@ -47,21 +46,14 @@ class CalibrationParams:
 
     def __post_init__(self) -> None:
         for name in ("h_rad", "k_cm", "l_rad", "o_cm"):
-            value = getattr(self, name)
-            # bool is an int subclass, so True would pass as 1
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise DomainError(f"calibration parameter {name} must be a finite number, "
-                                  f"not {value!r}")
+            number(getattr(self, name), f"calibration parameter {name}", DomainError)
         if self.h_rad <= 0 or self.k_cm <= 0:
             raise DomainError("h_rad and k_cm must be positive")
         if self.l_rad <= -math.pi / 2:
             # a second pole at h*raw + l = -pi/2 would break monotonicity
             raise DomainError("l_rad must exceed -pi/2")
         # cm_table takes the codes 0..raw_valid_max
-        if isinstance(self.raw_valid_max, bool) or not isinstance(self.raw_valid_max, Integral):
-            raise DomainError(f"raw_valid_max must be an integer, not {self.raw_valid_max!r}")
-        if not 0 <= self.raw_valid_max <= RAW_CEILING:
-            raise DomainError("raw_valid_max must lie in [0, 2046]")
+        number(self.raw_valid_max, "raw_valid_max", DomainError, integer=True, low=0, high=RAW_CEILING)
         bound = valid_domain(self)
         if self.raw_valid_max > bound:
             raise DomainError(

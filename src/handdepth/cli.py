@@ -49,8 +49,6 @@ def _load_config(path: str | None) -> PipelineConfig:
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
     return config_from_dict(data)
 
 
@@ -118,8 +116,6 @@ def _generate_corpus(n_scenes: int, args: argparse.Namespace) -> list[Scene]:
         raise ConfigError(f"--generate needs N >= 1, got {n_scenes}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    if not 0 <= args.dropout < 1:
-        raise ConfigError(f"--dropout must lie in [0, 1), got {args.dropout}")
     return build_corpus(n_scenes, seed=args.seed, dropout_rate=args.dropout)
 
 

@@ -16,9 +16,7 @@ opening.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, fields, replace
-from numbers import Integral, Real
 from typing import Iterable, Iterator
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION
@@ -29,6 +27,8 @@ from .errors import (
     DomainError,
     EmptyResultError,
     NotFoundError,
+    check_keys,
+    number,
 )
 from .fingertips import detect_fingertips
 from .frame_io import DepthFrame, DetectionReport
@@ -56,23 +56,14 @@ class PipelineConfig:
     max_misses: int = 5
 
     def __post_init__(self) -> None:
-        # NaN and inf pass the positivity checks below, and bool is an int subclass
+        if not isinstance(self.calibration, CalibrationParams):
+            raise ConfigError(f"calibration must be a CalibrationParams, not {self.calibration!r}")
         for name in ("band_cm", "slab_cm"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite number, not {value!r}")
-        for name in ("min_area", "max_hands", "max_misses"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ConfigError(f"{name} must be an integer, not {value!r}")
-        if self.band_cm <= 0 or self.slab_cm <= 0:
-            raise ConfigError("band_cm and slab_cm must be positive")
-        if self.min_area < 1:
-            raise ConfigError("min_area must be >= 1")
-        if self.max_hands not in (1, 2):
-            raise ConfigError("max_hands must be 1 or 2")
-        if self.max_misses < 1:
-            raise ConfigError("max_misses must be >= 1")
+            if number(getattr(self, name), name, ConfigError) <= 0:
+                raise ConfigError(f"{name} must be positive")
+        number(self.min_area, "min_area", ConfigError, integer=True, low=1)
+        number(self.max_hands, "max_hands", ConfigError, integer=True, low=1, high=2)
+        number(self.max_misses, "max_misses", ConfigError, integer=True, low=1)
 
 
 _CALIBRATION_KEYS = {"h": "h_rad", "k": "k_cm", "l": "l_rad", "o": "o_cm",
@@ -81,28 +72,16 @@ _CALIBRATION_KEYS = {"h": "h_rad", "k": "k_cm", "l": "l_rad", "o": "o_cm",
 
 def config_from_dict(data: dict) -> PipelineConfig:
     """Build a config from parsed JSON; unknown keys are rejected."""
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(data)
+    kwargs = dict(check_keys(data, {f.name for f in fields(PipelineConfig)}, "config"))
     if "calibration" in kwargs:
-        cal = kwargs["calibration"]
-        if not isinstance(cal, dict):
-            raise ConfigError("calibration must be an object")
-        bad = set(cal) - set(_CALIBRATION_KEYS)
-        if bad:
-            raise ConfigError(f"unknown calibration keys: {sorted(bad)}")
+        cal = check_keys(kwargs["calibration"], _CALIBRATION_KEYS, "calibration")
         try:
             kwargs["calibration"] = CalibrationParams(
                 **{_CALIBRATION_KEYS[k]: v for k, v in cal.items()}
             )
-        except (DomainError, TypeError, OverflowError) as exc:  # overflow: a huge JSON int
+        except (DomainError, OverflowError) as exc:  # overflow: an int h_rad past int64
             raise ConfigError(f"bad calibration: {exc}") from exc
-    try:
-        return PipelineConfig(**kwargs)
-    except (TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad config: {exc}") from exc
+    return PipelineConfig(**kwargs)
 
 
 def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> HandObservation:

@@ -44,13 +44,12 @@ border, and every other component is a hole.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .errors import NotFoundError
+from .errors import NotFoundError, number
 from .frame_io import DepthFrame
 
 
@@ -205,8 +204,8 @@ def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
 def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np.ndarray:
     """The raw codes within +/- band_cm of the seed's depth."""
-    if not (math.isfinite(band_cm) and band_cm > 0):
-        raise ValueError(f"band_cm must be finite and positive, not {band_cm!r}")
+    if number(band_cm, "band_cm", ValueError) <= 0:
+        raise ValueError(f"band_cm must be positive, not {band_cm!r}")
     seed_cm = raw_to_cm(seed.depth_raw, params)  # DomainError unless a valid measurement
     return np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
 
@@ -237,12 +236,10 @@ def find_hand_seeds(
     palm leave only the fingers in the slab, and pieces below
     ``min_area`` seed nothing, so such a hand can be missed entirely.
     """
-    if max_hands not in (1, 2):
-        raise ValueError("max_hands must be 1 or 2")
-    if min_area < 1:
-        raise ValueError("min_area must be >= 1")
-    if not (math.isfinite(slab_cm) and slab_cm > 0):
-        raise ValueError(f"slab_cm must be finite and positive, not {slab_cm!r}")
+    number(max_hands, "max_hands", ValueError, integer=True, low=1, high=2)
+    number(min_area, "min_area", ValueError, integer=True, low=1)
+    if number(slab_cm, "slab_cm", ValueError) <= 0:
+        raise ValueError(f"slab_cm must be positive, not {slab_cm!r}")
     samples = frame.samples
     near_raw = int(samples.min())
     if near_raw > params.raw_valid_max:

@@ -11,7 +11,6 @@ accuracy measurements.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -23,7 +22,7 @@ from .calibration import (
     cm_per_raw,
     cm_to_raw,
 )
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError, GeometryError, check_keys, number
 from .frame_io import DepthFrame
 
 
@@ -38,12 +37,12 @@ def _unit(angle_deg: float) -> tuple[float, float]:
 
 
 def _as_tuple(value, count: int, name: str) -> tuple[float, ...]:
-    if isinstance(value, (int, float)):
-        return (float(value),) * count
-    out = tuple(float(v) for v in value)
-    if len(out) != count:
-        raise ValueError(f"{name} must have one entry per finger ({count}), got {len(out)}")
-    return out
+    """A scalar or one entry per finger, as ``count`` floats of at least 1 px."""
+    if not isinstance(value, (list, tuple)):
+        return (float(number(value, name, ValueError, low=1)),) * count
+    if len(value) != count:
+        raise ValueError(f"{name} must have one entry per finger ({count}), got {len(value)}")
+    return tuple(float(number(v, name, ValueError, low=1)) for v in value)
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,8 @@ class HandSpec:
     ``finger_length`` and ``finger_width`` accept a scalar (shared by all
     fingers) or one value per finger.  ``tip_slope`` is how many raw
     units shallower the finger gets per pixel of travel toward its tip.
+    Every field must be a finite number (``finger_count`` an integer in
+    [0, 5]); a bad one raises ValueError.
     """
 
     palm_center: tuple[float, float]
@@ -66,26 +67,28 @@ class HandSpec:
     tip_slope: float = 2.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.finger_count <= 5:
-            raise ValueError("finger_count must lie in [0, 5]")
-        if self.palm_radius < 1:
-            raise ValueError("palm_radius must be >= 1 px")
-        if self.tip_slope < 0:
-            raise ValueError("tip_slope must be >= 0")
-        if not self.base_depth_cm > 0:  # also rejects NaN
+        center = self.palm_center
+        if not (isinstance(center, (list, tuple)) and len(center) == 2):
+            raise ValueError(f"palm_center must be two numbers, not {center!r}")
+        for value in center:
+            number(value, "palm_center", ValueError)
+        number(self.finger_count, "finger_count", ValueError, integer=True, low=0, high=5)
+        number(self.palm_radius, "palm_radius", ValueError, low=1)
+        number(self.orientation_deg, "orientation_deg", ValueError)
+        number(self.finger_spread_deg, "finger_spread_deg", ValueError)
+        if number(self.base_depth_cm, "base_depth_cm", ValueError) <= 0:
             raise ValueError("base_depth_cm must be positive")
+        number(self.tip_slope, "tip_slope", ValueError, low=0)
         lengths = _as_tuple(self.finger_length, self.finger_count, "finger_length")
         widths = _as_tuple(self.finger_width, self.finger_count, "finger_width")
-        for L, w in zip(lengths, widths):
-            if L < 1 or w < 1:
-                raise ValueError("finger lengths and widths must be >= 1 px")
-            if w >= self.palm_radius:
-                raise ValueError("finger width must be smaller than the palm radius")
+        if any(w >= self.palm_radius for w in widths):
+            raise ValueError("finger width must be smaller than the palm radius")
         if self.finger_count >= 2:
             if self.finger_spread_deg <= 0:
                 raise ValueError("finger_spread_deg must be positive for multiple fingers")
             if self.finger_spread_deg * (self.finger_count - 1) >= 360:
                 raise ValueError("finger fan wraps past a full turn")
+        object.__setattr__(self, "palm_center", tuple(center))
         object.__setattr__(self, "finger_length", lengths)
         object.__setattr__(self, "finger_width", widths)
 
@@ -244,15 +247,46 @@ def render_scene(
     return DepthFrame(raw.astype(np.uint16)), truths
 
 
+# A one-hand render peaks near 100 bytes per pixel, so this caps a scene's
+# frame at about 430 MB of rendering instead of an allocation failure.
+MAX_FRAME_PIXELS = 2048 * 2048
+
+
 @dataclass(frozen=True)
 class Scene:
-    """Everything needed to render one reproducible frame."""
+    """Everything needed to render one reproducible frame.
+
+    A scene is a scene file's record, so a bad field raises ConfigError.
+    """
 
     hands: tuple[HandSpec, ...]
     frame_size: tuple[int, int] = (320, 240)
     background_depth_cm: float = 200.0
     dropout_rate: float = 0.0
     noise_seed: int = 0
+
+    def __post_init__(self) -> None:
+        size = self.frame_size
+        if not (isinstance(size, (list, tuple)) and len(size) == 2):
+            raise ConfigError(f"frame_size must be two positive integers, not {size!r}")
+        for value in size:
+            number(value, "frame_size", ConfigError, integer=True, low=1)
+        if size[0] * size[1] > MAX_FRAME_PIXELS:
+            raise ConfigError(f"frame_size {list(size)} exceeds {MAX_FRAME_PIXELS} pixels (2048x2048)")
+        number(self.noise_seed, "noise_seed", ConfigError, integer=True, low=0)
+        dropout_rate = float(number(self.dropout_rate, "dropout_rate", ConfigError))
+        if not 0 <= dropout_rate < 1:
+            raise ConfigError(f"dropout_rate must lie in [0, 1), not {dropout_rate}")
+        background = float(number(self.background_depth_cm, "background_depth_cm", ConfigError))
+        if not all(isinstance(spec, HandSpec) for spec in self.hands):
+            raise ConfigError("hands must be HandSpec records")
+        if len(self.hands) > 2:
+            raise ConfigError(f"a scene holds at most two hands, got {len(self.hands)}")
+        if any(background < spec.base_depth_cm + 50 for spec in self.hands):
+            raise ConfigError("background_depth_cm must be at least 50 cm behind every hand")
+        object.__setattr__(self, "frame_size", tuple(size))
+        object.__setattr__(self, "background_depth_cm", background)
+        object.__setattr__(self, "dropout_rate", dropout_rate)
 
     def render(
         self, params: CalibrationParams = DEFAULT_CALIBRATION
@@ -337,85 +371,24 @@ def build_corpus(
     return scenes
 
 
-# A one-hand render peaks near 100 bytes per pixel, so this caps a scene
-# file's frame at about 430 MB of rendering instead of an allocation failure.
-MAX_FRAME_PIXELS = 2048 * 2048
-
 _HAND_KEYS = {f.name for f in fields(HandSpec)}
 _SCENE_KEYS = {f.name for f in fields(Scene)}
 
 
-def _numbers(items) -> bool:  # every item a JSON number: no string or boolean, no int past a float
-    return all(isinstance(v, float) or type(v) is int and abs(v) <= sys.float_info.max for v in items)
-
-
 def hand_spec_from_dict(data: dict) -> HandSpec:
-    unknown = set(data) - _HAND_KEYS
-    if unknown:
-        raise ConfigError(f"unknown hand spec keys: {sorted(unknown)}")
+    check_keys(data, _HAND_KEYS, "hand spec")
     try:
-        kwargs = dict(data)
-        count = kwargs.get("finger_count")
-        if type(count) is not int:  # not a float, and not a bool (an int subclass)
-            raise ValueError(f"finger_count must be an integer, got {count!r}")
-        center = kwargs.get("palm_center")
-        if not (isinstance(center, (list, tuple)) and len(center) == 2 and _numbers(center)):
-            raise ValueError(f"palm_center must be two numbers, got {center!r}")
-        for name in ("finger_length", "finger_width"):
-            value = kwargs.get(name, ())
-            if not _numbers(value if isinstance(value, (list, tuple)) else [value]):
-                raise ValueError(f"{name} must be a number or one per finger, got {value!r}")
-        for name in ("palm_radius", "orientation_deg", "finger_spread_deg", "base_depth_cm",
-                     "tip_slope"):
-            if name in kwargs and not _numbers([kwargs[name]]):
-                raise ValueError(f"{name} must be a number, got {kwargs[name]!r}")
-        kwargs["palm_center"] = tuple(center)
-        return HandSpec(**kwargs)
-    except (TypeError, ValueError) as exc:
+        return HandSpec(**data)
+    except (TypeError, ValueError) as exc:  # TypeError: a required key is missing
         raise ConfigError(f"bad hand spec: {exc}") from exc
 
 
 def scene_from_dict(data: dict) -> Scene:
-    if not isinstance(data, dict):
-        raise ConfigError("each scene must be an object")
-    unknown = set(data) - _SCENE_KEYS
-    if unknown:
-        raise ConfigError(f"unknown scene keys: {sorted(unknown)}")
-    size = data.get("frame_size", (320, 240))
-    if not (isinstance(size, (list, tuple)) and len(size) == 2
-            and all(type(v) is int and v > 0 for v in size)):
-        raise ConfigError(f"frame_size must be two positive integers, got {size!r}")
-    if size[0] * size[1] > MAX_FRAME_PIXELS:
-        raise ConfigError(f"frame_size {list(size)} exceeds {MAX_FRAME_PIXELS} pixels (2048x2048)")
-    noise_seed = data.get("noise_seed", 0)
-    if type(noise_seed) is not int or noise_seed < 0:
-        raise ConfigError(f"noise_seed must be a non-negative integer, got {noise_seed!r}")
-    try:
-        hands = tuple(hand_spec_from_dict(h) for h in data.get("hands", []))
-        if len(hands) > 2:
-            raise ConfigError(f"a scene holds at most two hands, got {len(hands)}")
-        for name in ("dropout_rate", "background_depth_cm"):
-            if name in data and not _numbers([data[name]]):
-                raise ConfigError(f"{name} must be a number, got {data[name]!r}")
-        dropout_rate = float(data.get("dropout_rate", 0.0))
-        if not 0 <= dropout_rate < 1:
-            raise ConfigError(f"dropout_rate must lie in [0, 1), got {dropout_rate}")
-        background_depth_cm = float(data.get("background_depth_cm", 200.0))
-        if not math.isfinite(background_depth_cm):
-            raise ConfigError(f"background_depth_cm must be finite, got {background_depth_cm}")
-        if any(background_depth_cm < spec.base_depth_cm + 50 for spec in hands):
-            raise ConfigError("background_depth_cm must be at least 50 cm behind every hand")
-        return Scene(
-            hands=hands,
-            frame_size=tuple(size),
-            background_depth_cm=background_depth_cm,
-            dropout_rate=dropout_rate,
-            noise_seed=noise_seed,
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:  # overflow: an int past any float
-        raise ConfigError(f"bad scene: {exc}") from exc
+    check_keys(data, _SCENE_KEYS, "scene")
+    hands = data.get("hands", [])
+    if not isinstance(hands, (list, tuple)):
+        raise ConfigError(f"hands must be a list, not {hands!r}")
+    return Scene(**{**data, "hands": tuple(hand_spec_from_dict(h) for h in hands)})
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -242,6 +242,20 @@ def test_bench_bad_scene_file(tmp_path, capsys):
         assert "Traceback" not in err and err.count("error:") == 1
 
 
+def test_non_finite_scene_numbers_exit_2(tmp_path, scene, capsys):
+    # Python's json writes and reads the NaN and Infinity literals, which strict JSON forbids
+    hand = scene_to_dict(scene)["hands"][0]
+    scenes_file, out = tmp_path / "scenes.json", tmp_path / "o.json"
+    for name, value in (("palm_radius", float("nan")), ("tip_slope", float("inf")),
+                        ("palm_center", [float("nan"), 120.0])):
+        entry = {**scene_to_dict(scene), "hands": [{**hand, name: value}]}
+        scenes_file.write_text(json.dumps({"scenes": [entry]}))
+        assert main(["synth", "--scenes", str(scenes_file), "--out-scenes", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and name in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_convert_round_trip(tmp_path, scene):
     frame, _ = scene.render()
     src = tmp_path / "frame.pgm"

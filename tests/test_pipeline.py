@@ -208,6 +208,8 @@ def test_config_rejects_bad_values():
         PipelineConfig(max_hands=3)
     with pytest.raises(ConfigError):
         config_from_dict({"calibration": {"h": -1}})
+    with pytest.raises(ConfigError, match="calibration"):
+        PipelineConfig(calibration=None)
     nan, inf = float("nan"), float("inf")
     for key in ("band_cm", "slab_cm"):
         for value in (nan, inf, -inf, "0.5", None, True, [0.5]):

@@ -205,6 +205,15 @@ def test_hand_spec_validation():
         basic_spec(tip_slope=-1)
     with pytest.raises(ValueError):
         basic_spec(finger_spread_deg=0)
+    with pytest.raises(ValueError):
+        basic_spec(finger_count=2, finger_length="45")  # not the lengths 4 and 5
+    for name in ("palm_radius", "tip_slope", "finger_width"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=name):
+                basic_spec(**{name: value})
+    for count in ("2", 2.0, True):
+        with pytest.raises(ValueError, match="finger_count"):
+            basic_spec(finger_count=count, finger_length=30, finger_width=5)
 
 
 def test_scene_json_round_trip():
@@ -242,7 +251,13 @@ def test_scene_unknown_keys_rejected():
                 {"hands": [{**hand, "finger_count": 1.0, "finger_length": 30, "finger_width": 5}]},
                 {"hands": [], "dropout_rate": "0.5"}, {"hands": [], "dropout_rate": False},
                 {"hands": [], "background_depth_cm": " 250 "},
-                {"hands": [], "background_depth_cm": True}):
+                {"hands": [], "background_depth_cm": True},
+                *({"hands": [{**hand, name: value}]}  # JSON's NaN and Infinity literals parse
+                  for name in ("palm_radius", "orientation_deg", "finger_spread_deg", "tip_slope",
+                               "finger_length", "finger_width")
+                  for value in (math.nan, math.inf, -math.inf)),
+                {"hands": [{**hand, "palm_center": [math.nan, 100]}]},
+                {"hands": [{**hand, "palm_center": [100, math.inf]}]}):
         with pytest.raises(ConfigError):
             scene_from_dict(bad)
     scene_from_dict({"hands": [hand], "background_depth_cm": 80 + 50}).render()  # exactly 50 cm renders
