@@ -202,21 +202,21 @@ def _build_parser() -> argparse.ArgumentParser:
     detect.add_argument("--out-overlay-dir", default=None, help="write PPM overlays here")
     detect.set_defaults(func=_cmd_detect)
 
-    synth = sub.add_parser("synth", help="render synthetic scenes with ground truth")
-    synth.add_argument("--scenes", default=None, help="scene description JSON")
-    synth.add_argument("--generate", type=int, default=None, metavar="N",
-                       help="generate a random N-scene corpus instead")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--dropout", type=float, default=0.02)
+    # synth and bench take their scenes from a file or a generated corpus, not both
+    corpus = argparse.ArgumentParser(add_help=False)
+    source = corpus.add_mutually_exclusive_group()
+    source.add_argument("--scenes", default=None, help="scene description JSON")
+    source.add_argument("--generate", type=int, default=None, metavar="N",
+                        help="generate a random N-scene corpus instead")
+    corpus.add_argument("--seed", type=int, default=0)
+    corpus.add_argument("--dropout", type=float, default=0.02)
+
+    synth = sub.add_parser("synth", parents=[corpus], help="render synthetic scenes with ground truth")
     synth.add_argument("--out-dir", default=None, help="write frames + ground truth here")
     synth.add_argument("--out-scenes", default=None, help="write the scene JSON here")
     synth.set_defaults(func=_cmd_synth)
 
-    bench = sub.add_parser("bench", help="score the detector on a synthetic corpus")
-    bench.add_argument("--scenes", default=None, help="scene description JSON")
-    bench.add_argument("--generate", type=int, default=None, metavar="N")
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--dropout", type=float, default=0.02)
+    bench = sub.add_parser("bench", parents=[corpus], help="score the detector on a synthetic corpus")
     bench.add_argument("--config", default=None)
     bench.add_argument("--out", default=None, help="metrics JSON path (default stdout)")
     bench.set_defaults(func=_cmd_bench)

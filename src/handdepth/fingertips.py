@@ -1,9 +1,10 @@
-"""Fingertip extraction: the minimum-depth pixel of each finger.
+"""Finger split and fingertips: the minimum-depth pixel of each finger.
 
-Fingers angled toward the camera are closest at the tip, so within each
-finger (a Blob, searched inside its own bbox) the pixel with the
-smallest depth is taken as the fingertip.  The minimum is computed on
-raw values, not centimeters: calibration is strictly increasing, so the
+The fingers are the components of the hand minus its palm: a set, kept
+largest first.  Fingers angled toward the camera are closest at the
+tip, so each finger's smallest-depth pixel is its fingertip.  One run
+labelling gives the areas and one keyed minimum all the tips.  Minima
+are taken on raw values: calibration is strictly increasing, so the
 argmin is the same pixel, and integer comparison sidesteps float ties.
 """
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .segmentation import Blob
+from .segmentation import _label_runs
 
 
 @dataclass(frozen=True)
@@ -28,30 +29,38 @@ class Fingertip:
 
 
 def detect_fingertips(
+    hand: np.ndarray,
+    palm: np.ndarray,
     samples: np.ndarray,
-    fingers: list[Blob],
     params: CalibrationParams = DEFAULT_CALIBRATION,
 ) -> list[Fingertip]:
-    """One fingertip per finger, indexed by position in the input list.
+    """One fingertip per finger of ``hand & ~palm``, ``finger_index`` its rank by area.
 
-    On finger_masks' list, largest first, ``finger_index`` is the
-    finger's rank by area (0 for the largest).
-
-    ``samples`` holds the raw depths of the array the fingers were
-    labelled in (a hand's crop of a DepthFrame's samples).
-
-    Each tip is the minimum within its finger's bbox, over the finger's
-    pixels; ties on the minimum resolve to the smallest y, then smallest x.
-    Sentinel dropouts inside a finger are skipped; a finger with no usable
-    sample at all contributes no tip (the finger is omitted, not fatal).
+    ``samples`` holds the raw depths of the masks' array (a hand's crop).
+    Components below 1 % of the hand's area (at least 4 px) are palm-rim
+    slivers; at most the five largest others are fingers, ties on area in
+    the raster order of their first pixels.  A fist has none.  Each tip
+    is the finger's least raw sample, ties to the smallest y, then x.  A
+    finger with no usable sample gives no tip; the others keep their ranks.
     """
+    remnant = hand & ~palm
+    roots, flat, (_, start, end, component) = _label_runs(remnant, 8)
+    length = end - start
+    area = np.bincount(component, weights=length, minlength=len(roots))
+    kept = np.flatnonzero(area >= max(4, round(0.05 * int(hand.sum()) / 5)))
+    kept = kept[np.argsort(-area[kept], kind="stable")[:5]]  # stable: ties stay in raster order
+    # The least key raw * size + flat index is the least raw, ties to the
+    # first pixel in raster order.
+    size = remnant.size
+    key = np.full(len(roots), np.iinfo(np.int64).max)
+    np.minimum.at(key, np.repeat(component, length), samples[remnant].astype(np.int64) * size + flat)
     tips = []
-    for index, finger in enumerate(fingers):
+    for rank, lowest in enumerate(key[kept].tolist()):
+        raw, index = divmod(lowest, size)
         # Unusable samples are exactly the codes above raw_valid_max, so the
-        # raw minimum is usable whenever any sample of the finger is, and
-        # every pixel tied at it is usable too.
-        x, y, lowest = finger.lowest(samples)
-        if lowest > params.raw_valid_max:
+        # raw minimum is usable whenever any sample of the finger is.
+        if raw > params.raw_valid_max:
             continue
-        tips.append(Fingertip(x=x, y=y, depth_cm=raw_to_cm(lowest, params), finger_index=index))
+        y, x = divmod(index, remnant.shape[1])
+        tips.append(Fingertip(x=x, y=y, depth_cm=raw_to_cm(raw, params), finger_index=rank))
     return tips

@@ -1,4 +1,4 @@
-"""Palm opening and finger split.
+"""Palm opening.
 
 The palm is the hand's opening by a closed disk of radius r (integer
 offsets with dx^2 + dy^2 <= r^2), taken as two thresholds on exact
@@ -11,8 +11,8 @@ and it runs only on the core's bbox grown by r.  Out-of-frame pixels
 count as background.
 
 One distance map per hand gives the palm inradius, the erosion and the
-palm-center argmax.  The fingers are the connected remnants of the hand
-minus its palm: a set, kept largest first, with no order around the palm.
+palm-center argmax.  The fingers are what the opening strips off the
+hand; fingertips.detect_fingertips splits them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import numpy as np
 
 from .distance import sq_edt
 from .errors import EmptyResultError
-from .segmentation import Blob, connected_components
 
 
 def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
@@ -57,21 +56,3 @@ def auto_radius(palm_inradius: float) -> int:
         raise ValueError("palm inradius must be >= 1")
     return max(1, round(0.7 * palm_inradius))
 
-
-def default_min_finger_area(hand_area: int) -> int:
-    """Area floor that drops palm-rim subtraction slivers but keeps real fingers."""
-    return max(4, round(0.05 * hand_area / 5))
-
-
-def finger_masks(hand_mask: np.ndarray, palm_mask: np.ndarray, min_finger_area: int) -> list[Blob]:
-    """Connected remnants of hand minus palm as Blobs: at most five, largest first.
-
-    Components smaller than ``min_finger_area`` are discarded (they are
-    usually 1-2 px slivers where the opening undercut the palm rim); at
-    most the five largest survive, ties on area in the raster order of
-    their first pixels.  The palm mask is the hand's opening, so it lies
-    inside the hand.  Each finger is its bbox and bbox-local mask within
-    the hand's array.  An empty list is a valid outcome (a fist).
-    """
-    blobs = [b for b in connected_components(hand_mask & ~palm_mask) if b.area >= min_finger_area]
-    return sorted(blobs, key=lambda b: -b.area)[:5]  # stable: ties stay in raster order

@@ -4,9 +4,9 @@ Per frame and per hand the stages run in a fixed order: seed finding,
 the seed's depth-band blob (the seed's slab blob itself when every band
 code is a slab code and the blob lies wholly in the band, otherwise the
 band labelled over the whole frame), hole filling, distance transform,
-palm center and inradius, opening with an inradius-scaled disk, finger
-masks by subtraction, minimum-depth fingertips, then identity labeling
-and tracking.  The distance transform runs before palm extraction so
+palm center and inradius, opening with an inradius-scaled disk, the
+fingers and their minimum-depth tips from one labelling of the hand
+minus its opening, then identity labeling and tracking.  The distance transform runs before palm extraction so
 the opening radius r can scale with the measured inradius.  The opening
 keeps every pixel where that map exceeds r*r and is empty if there is
 none, so the map's argmax, the palm center, lies in every non-empty
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .fingertips import detect_fingertips
 from .frame_io import DepthFrame, DetectionReport
-from .morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
+from .morphology import auto_radius, extract_palm
 from .segmentation import Blob, fill_holes, find_hand_seeds, segment_hand
 from .tracking import HandObservation, TrackState, label_hands, update
 
@@ -44,8 +44,8 @@ class PipelineConfig:
     """Every tunable of the detection pipeline, with working defaults.
 
     The opening radius (0.7 of the palm inradius, auto_radius) and the
-    finger sliver floor (default_min_finger_area of the hand's area) are
-    fixed constants of the pipeline, not settings.
+    finger sliver floor (1 % of the hand's area, at least 4 px, in
+    detect_fingertips) are fixed constants of the pipeline, not settings.
     """
 
     calibration: CalibrationParams = DEFAULT_CALIBRATION
@@ -93,8 +93,7 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     dist = distance_transform(hand)
     palm = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))
-    fingers = finger_masks(hand, palm_mask, default_min_finger_area(int(hand.sum())))
-    tips = detect_fingertips(frame.samples[blob.box], fingers, config.calibration)
+    tips = detect_fingertips(hand, palm_mask, frame.samples[blob.box], config.calibration)
     return (
         replace(palm, x=palm.x + x0, y=palm.y + y0),
         [replace(t, x=t.x + x0, y=t.y + y0) for t in tips],

@@ -21,6 +21,7 @@ from handdepth import segmentation
 from handdepth.calibration import RAW_CEILING, raw_to_cm
 from handdepth.distance import PalmCenter
 from handdepth.errors import DegenerateHandError, DomainError
+from handdepth.fingertips import Fingertip
 from handdepth.segmentation import connected_components, select_hand_blob
 from handdepth.tracking import HandId
 
@@ -369,6 +370,23 @@ def fill_holes_padded(mask: np.ndarray) -> np.ndarray:
     return labels[1:-1, 1:-1] != 1
 
 
+def fingertips_from_blobs(hand, palm, samples, params):
+    """The finger split and tips as they were, one Blob per finger, kept as their oracle.
+
+    Labels ``hand & ~palm`` into Blobs, drops those below the sliver
+    floor, keeps the five largest by a stable sort and takes each tip
+    from Blob.lowest; a tip past ``raw_valid_max`` is dropped.
+    """
+    floor = max(4, round(0.05 * int(hand.sum()) / 5))
+    blobs = [b for b in connected_components(hand & ~palm) if b.area >= floor]
+    tips = []
+    for index, finger in enumerate(sorted(blobs, key=lambda b: -b.area)[:5]):
+        x, y, lowest = finger.lowest(samples)
+        if lowest <= params.raw_valid_max:
+            tips.append(Fingertip(x, y, raw_to_cm(lowest, params), index))
+    return tips
+
+
 def hand_blob_whole_frame(frame, seed, band_cm, params):
     """The seed's band blob as found before segment_hand, kept as its oracle.
 
@@ -404,6 +422,7 @@ def segment_hand_path(frame, seed, band_cm, params):
         return "slab", blob
     assert calls == [frame.samples.shape]
     return "frame", blob
+
 
 
 def paths_agree(path, expected) -> bool:

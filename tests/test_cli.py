@@ -346,6 +346,16 @@ def test_generate_needs_a_positive_count(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_scenes_and_generate_together_exit_2(tmp_path, scene, capsys):
+    scenes = tmp_path / "two.json"
+    scenes.write_text(json.dumps({"scenes": [scene_to_dict(scene)] * 2}))
+    out = tmp_path / "out.json"
+    assert main(["synth", "--scenes", str(scenes), "--generate", "5", "--out-scenes", str(out)]) == 2
+    assert main(["bench", "--scenes", str(scenes), "--generate", "5", "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("not allowed with argument --scenes") == 2 and "Traceback" not in err
+
 def test_bench_generates_200_scenes_by_default(monkeypatch):
     sizes = []
 

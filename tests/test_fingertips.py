@@ -1,66 +1,73 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from handdepth.calibration import RAW_SENTINEL, raw_to_cm
+from handdepth import pipeline
+from handdepth.calibration import DEFAULT_CALIBRATION, RAW_SENTINEL, raw_to_cm
 from handdepth.distance import distance_transform, find_palm_center
 from handdepth.fingertips import detect_fingertips
-from handdepth.frame_io import DepthFrame
-from handdepth.morphology import extract_palm, finger_masks
-from handdepth.segmentation import connected_components
-from handdepth.synthetic import HandSpec, render_hand
+from handdepth.morphology import extract_palm
+from handdepth.pipeline import PipelineConfig, extract_hands
+from handdepth.synthetic import HandSpec, build_corpus, render_hand
+
+from reference import edge_masks, fingertips_from_blobs, random_mask
 
 
-def frame_of(rows) -> DepthFrame:
-    return DepthFrame(np.array(rows, dtype=np.uint16))
-
-
-def mask_at(shape, coords):
-    """The one connected component made of the given (x, y) pixels."""
+def hand_of(shape, *fingers):
+    """A mask made of the given fingers, each a list of (x, y) pixels."""
     mask = np.zeros(shape, dtype=bool)
-    for x, y in coords:
-        mask[y, x] = True
-    (finger,) = connected_components(mask)
-    return finger
+    for finger in fingers:
+        for x, y in finger:
+            mask[y, x] = True
+    return mask
+
+
+def tips_of(samples, *fingers):
+    """Fingertips of a palmless hand made of the given fingers."""
+    hand = hand_of(np.shape(samples), *fingers)
+    return detect_fingertips(hand, np.zeros_like(hand), samples)
 
 
 def test_single_pixel_mask():
-    frame = frame_of([[900, 800], [700, 600]])
-    mask = mask_at((2, 2), [(1, 0)])
-    (tip,) = detect_fingertips(frame.samples, [mask])
-    assert (tip.x, tip.y, tip.finger_index) == (1, 0, 0)
-    assert tip.depth_cm == pytest.approx(raw_to_cm(800))
+    samples = np.array([[900, 800, 650], [700, 600, 900]], dtype=np.uint16)
+    assert tips_of(samples, [(2, 0)]) == []  # below the 4 px sliver floor
+    (tip,) = tips_of(samples, [(0, 0), (1, 0), (0, 1), (1, 1)])
+    assert (tip.x, tip.y, tip.finger_index) == (1, 1, 0)
+    assert tip.depth_cm == pytest.approx(raw_to_cm(600))
 
 
 def test_uniform_depth_tie_breaks_topmost_leftmost():
-    frame = frame_of([[500] * 4] * 4)
-    mask = mask_at((4, 4), [(2, 3), (1, 2), (3, 2), (2, 1)])
-    (tip,) = detect_fingertips(frame.samples, [mask])
+    samples = np.full((4, 4), 500, dtype=np.uint16)
+    (tip,) = tips_of(samples, [(2, 3), (1, 2), (3, 2), (2, 1)])
     assert (tip.x, tip.y) == (2, 1)
 
 
 def test_sentinel_pixels_skipped():
-    frame = frame_of([[RAW_SENTINEL, 800, 750]])
-    mask = mask_at((1, 3), [(0, 0), (1, 0), (2, 0)])
-    (tip,) = detect_fingertips(frame.samples, [mask])
+    samples = np.array([[RAW_SENTINEL, 800, 750, 760]], dtype=np.uint16)
+    (tip,) = tips_of(samples, [(0, 0), (1, 0), (2, 0), (3, 0)])
     assert (tip.x, tip.y) == (2, 0)
 
 
 def test_all_sentinel_finger_omitted():
-    frame = frame_of([[RAW_SENTINEL, RAW_SENTINEL, 700]])
-    dead = mask_at((1, 3), [(0, 0), (1, 0)])
-    live = mask_at((1, 3), [(2, 0)])
-    tips = detect_fingertips(frame.samples, [dead, live])
+    samples = np.array([[RAW_SENTINEL] * 5 + [900] + [700] * 4], dtype=np.uint16)
+    dead = [(x, 0) for x in range(5)]
+    live = [(x, 0) for x in range(6, 10)]
+    tips = tips_of(samples, dead, live)
     assert len(tips) == 1
-    assert tips[0].finger_index == 1  # index keyed to input position, not output
+    assert tips[0].finger_index == 1  # the live finger keeps its rank by area
 
 
 def test_all_sentinel_finger_ignores_usable_pixels_in_its_bbox():
-    frame = frame_of([[RAW_SENTINEL, 600, 900], [RAW_SENTINEL, RAW_SENTINEL, 900]])
-    dead = mask_at((2, 3), [(0, 0), (0, 1), (1, 1)])  # an L whose bbox holds (1, 0)
-    live = mask_at((2, 3), [(2, 0), (2, 1)])
-    (tip,) = detect_fingertips(frame.samples, [dead, live])
-    assert (tip.x, tip.y, tip.finger_index) == (2, 0, 1)
-    assert detect_fingertips(frame.samples, [dead]) == []
+    samples = np.array([[RAW_SENTINEL, 600, 900, 900],
+                        [RAW_SENTINEL, 900, 900, 800],
+                        [RAW_SENTINEL, 900, 900, 900],
+                        [RAW_SENTINEL, RAW_SENTINEL, 900, 900]], dtype=np.uint16)
+    dead = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 3)]  # an L whose bbox holds (1, 0)
+    live = [(3, 0), (3, 1), (3, 2), (3, 3)]
+    (tip,) = tips_of(samples, dead, live)
+    assert (tip.x, tip.y, tip.finger_index) == (3, 1, 1)
+    assert tips_of(samples, dead) == []
 
 
 def test_depth_equals_frame_value_at_tip():
@@ -68,38 +75,21 @@ def test_depth_equals_frame_value_at_tip():
     samples = rng.integers(300, 1000, size=(12, 12), dtype=np.uint16)
     mask = np.zeros((12, 12), dtype=bool)
     mask[4:9, 2:7] = True
-    (tip,) = detect_fingertips(samples, connected_components(mask))
+    (tip,) = detect_fingertips(mask, np.zeros_like(mask), samples)
     assert mask[tip.y, tip.x]
     assert tip.depth_cm == pytest.approx(raw_to_cm(int(samples[tip.y, tip.x])))
     assert int(samples[tip.y, tip.x]) == int(samples[mask].min())
 
 
-def test_permuting_masks_permutes_indices():
-    rng = np.random.default_rng(32)
-    samples = rng.integers(300, 1000, size=(10, 14), dtype=np.uint16)
-    masks = [
-        mask_at((10, 14), [(1, 1), (2, 1)]),
-        mask_at((10, 14), [(7, 5), (8, 5), (8, 6)]),
-        mask_at((10, 14), [(12, 8)]),
-    ]
-    forward = detect_fingertips(samples, masks)
-    backward = detect_fingertips(samples, masks[::-1])
-    remapped = sorted(
-        ((len(masks) - 1 - t.finger_index, t.x, t.y, t.depth_cm) for t in backward)
-    )
-    assert remapped == sorted((t.finger_index, t.x, t.y, t.depth_cm) for t in forward)
-
-
 def test_tip_invariant_to_outside_pixels():
     samples = np.full((8, 8), 900, dtype=np.uint16)
     samples[3, 3] = 500
-    mask = mask_at((8, 8), [(3, 3), (4, 3), (3, 4)])
-    base = detect_fingertips(samples, [mask])
+    finger = [(3, 3), (4, 3), (3, 4), (4, 4)]
+    base = tips_of(samples, finger)
     noisy = samples.copy()
     noisy[7, 7] = 5
     noisy[0, 0] = RAW_SENTINEL
-    again = detect_fingertips(noisy, [mask])
-    assert base == again
+    assert tips_of(noisy, finger) == base
 
 
 def test_synthetic_tips_found_exactly():
@@ -117,6 +107,35 @@ def test_synthetic_tips_found_exactly():
     dist = distance_transform(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    fingers = finger_masks(truth.support, palm, 12)
-    tips = detect_fingertips(frame.samples, fingers)
+    tips = detect_fingertips(truth.support, palm, frame.samples)
     assert sorted((t.x, t.y) for t in tips) == sorted(truth.fingertips)
+
+
+def test_matches_finger_blobs_on_random_edge_and_corpus_hands():
+    rng = np.random.default_rng(27)
+    near = replace(DEFAULT_CALIBRATION, raw_valid_max=700)
+    # few codes, so depth ties are common; 1101, 2046 and 2047 are past the
+    # default raw_valid_max, and 900 is past ``near``'s
+    codes = np.array([300, 301, 700, 900, 1100, 1101, 2046, RAW_SENTINEL], dtype=np.uint16)
+    hands = list(edge_masks())
+    hands += [random_mask(rng, tuple(rng.integers(1, 60, size=2))) for _ in range(300)]
+    for hand in hands:
+        for palm in (np.zeros_like(hand), hand, hand & random_mask(rng, hand.shape)):
+            samples = rng.choice(codes[:int(rng.integers(2, codes.size + 1))], size=hand.shape)
+            for params in (DEFAULT_CALIBRATION, near):
+                assert detect_fingertips(hand, palm, samples, params) == fingertips_from_blobs(
+                    hand, palm, samples, params)
+
+    compared = []
+
+    def checked(hand, palm, samples, params):
+        tips = detect_fingertips(hand, palm, samples, params)
+        assert tips == fingertips_from_blobs(hand, palm, samples, params)
+        compared.append(len(tips))
+        return tips
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "detect_fingertips", checked)
+        for scene in build_corpus(60, seed=9):
+            extract_hands(scene.render()[0], PipelineConfig())
+    assert len(compared) >= 60 and sum(compared) > 0

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 from handdepth import morphology
 from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError, EmptyResultError
-from handdepth.morphology import auto_radius, default_min_finger_area, extract_palm, finger_masks
+from handdepth.fingertips import detect_fingertips
+from handdepth.morphology import auto_radius, extract_palm
 from handdepth.synthetic import HandSpec, render_hand
 
 from reference import (
@@ -16,7 +17,6 @@ from reference import (
     masks,
     opening_setdef,
     palm_center_masked,
-    placed,
     random_mask,
 )
 
@@ -229,8 +229,17 @@ def test_auto_radius():
 
 
 def test_min_finger_area_default():
-    assert default_min_finger_area(1500) == 15
-    assert default_min_finger_area(10) == 4
+    # the sliver floor is 1 % of the hand's area (15 px of 1529), at least 4 px
+    palm = np.zeros((40, 60), dtype=bool)
+    palm[:25] = True  # 1500 px
+    hand = palm.copy()
+    hand[30, 2:16] = hand[33, 2:17] = True  # 14 and 15 px fingers
+    samples = np.full(hand.shape, 800, dtype=np.uint16)
+    assert [(t.x, t.y) for t in detect_fingertips(hand, palm, samples)] == [(2, 33)]
+    tiny = np.zeros((3, 9), dtype=bool)
+    tiny[0, :3] = tiny[2, :4] = True  # 3 and 4 px fingers, 7 px of hand
+    samples = np.full(tiny.shape, 800, dtype=np.uint16)
+    assert [(t.x, t.y) for t in detect_fingertips(tiny, np.zeros_like(tiny), samples)] == [(0, 2)]
 
 
 def make_hand_and_palm(finger_count, orientation):
@@ -244,44 +253,40 @@ def make_hand_and_palm(finger_count, orientation):
         base_depth_cm=80,
         tip_slope=2,
     )
-    _, truth = render_hand(spec, (200, 200), 160)
+    frame, truth = render_hand(spec, (200, 200), 160)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
-    return truth, palm
+    return frame, truth, palm
 
 
 def test_finger_masks_counts():
-    truth, palm = make_hand_and_palm(5, 10)
-    masks = finger_masks(truth.support, palm, 12)
-    assert len(masks) == 5
-    truth2, palm2 = make_hand_and_palm(2, 137)
-    masks2 = finger_masks(truth2.support, palm2, 12)
-    assert len(masks2) == 2
+    frame, truth, palm = make_hand_and_palm(5, 10)
+    assert len(detect_fingertips(truth.support, palm, frame.samples)) == 5
+    frame2, truth2, palm2 = make_hand_and_palm(2, 137)
+    assert len(detect_fingertips(truth2.support, palm2, frame2.samples)) == 2
 
 
 def test_finger_masks_disjoint_and_outside_palm():
-    truth, palm = make_hand_and_palm(4, 200)
-    fingers = finger_masks(truth.support, palm, 12)
-    union = np.zeros_like(palm)
-    for mask in (placed(finger, palm.shape) for finger in fingers):
-        assert not (mask & palm).any()
-        assert not (mask & union).any()
-        assert (mask & truth.support == mask).all()
-        union |= mask
+    frame, truth, palm = make_hand_and_palm(4, 200)
+    tips = detect_fingertips(truth.support, palm, frame.samples)
+    assert [t.finger_index for t in tips] == [0, 1, 2, 3]
+    assert all(truth.support[t.y, t.x] and not palm[t.y, t.x] for t in tips)
+    assert len({(t.x, t.y) for t in tips}) == 4
 
 
 def test_finger_masks_fist_is_empty():
     disk = centered_disk(15, 41)
-    assert finger_masks(disk, disk, 4) == []
+    samples = np.full(disk.shape, 800, dtype=np.uint16)
+    assert detect_fingertips(disk, disk, samples) == []
 
 
 def test_finger_masks_area_filter_drops_slivers():
     disk = centered_disk(12, 41)
     hand = disk.copy()
     hand[3, 20] = True  # lone speck off the palm
-    masks = finger_masks(hand, disk, 4)
-    assert masks == []
+    samples = np.full(disk.shape, 800, dtype=np.uint16)
+    assert detect_fingertips(hand, disk, samples) == []
 
 
 def test_finger_masks_keeps_the_five_largest_largest_first():
@@ -291,7 +296,10 @@ def test_finger_masks_keeps_the_five_largest_largest_first():
     for y, x0, length in ((2, 2, 12), (2, 20, 20), (5, 2, 20), (58, 2, 30),
                           (55, 2, 8), (55, 40, 16), (50, 2, 25)):
         hand[y, x0:x0 + length] = True
-    fingers = finger_masks(hand, palm, 4)
-    assert [f.area for f in fingers] == [30, 25, 20, 20, 16]
-    # equal areas keep the raster order of their first pixels
-    assert [f.bbox[:2] for f in fingers] == [(2, 58), (2, 50), (20, 2), (2, 5), (40, 55)]
+    # at uniform depth each tip is its finger's first pixel in raster order
+    samples = np.full(hand.shape, 800, dtype=np.uint16)
+    tips = detect_fingertips(hand, palm, samples)
+    assert [t.finger_index for t in tips] == [0, 1, 2, 3, 4]
+    # largest first (30, 25, 20, 20, 16); equal areas keep the raster order
+    # of their first pixels
+    assert [(t.x, t.y) for t in tips] == [(2, 58), (2, 50), (20, 2), (2, 5), (40, 55)]

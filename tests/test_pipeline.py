@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handdepth import morphology, pipeline, segmentation
+from handdepth import fingertips, pipeline, segmentation
 from handdepth.benchmark import run_benchmark
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw, raw_to_cm
 from handdepth.errors import ConfigError
@@ -393,19 +393,22 @@ def test_slab_window_matches_whole_frame_band_on_two_hand_frames(case):
 
 def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
     # No band labelling: every seed's slab blob is its band blob here.
-    calls = []
+    calls, label_runs = [], segmentation._label_runs
 
-    def recording(mask, *args, **kwargs):
-        calls.append(np.shape(mask))
-        return connected_components(mask, *args, **kwargs)
+    def recording(mask, connectivity):
+        calls.append((np.shape(mask), connectivity))
+        return label_runs(mask, connectivity)
 
-    for module in (segmentation, morphology):
-        monkeypatch.setattr(module, "connected_components", recording)
+    monkeypatch.setattr(fingertips, "_label_runs", recording)
+    monkeypatch.setattr(segmentation, "_label_runs", recording)
     for frame in corpus_frames(4):
         calls.clear()
         hands = extract_hands(frame, CFG)
         assert hands
-        assert calls == [frame.samples.shape] + [blob.mask.shape for _, _, blob in hands]
+        # one slab labelling per frame; per hand one hole fill and one finger split
+        assert calls == [(frame.samples.shape, 8)] + [
+            call for _, _, blob in hands for call in ((blob.mask.shape, 4), (blob.mask.shape, 8))
+        ]
 
 
 def crossing_stream(n=24):

@@ -303,7 +303,8 @@ def scene_dicts(draw):
     doc = draw(plausible_scenes)
     for key in draw(st.lists(st.sampled_from(HAND_KEYS + SCENE_KEYS), max_size=2)):
         hands = doc.get("hands")
-        where = hands[0] if key in HAND_KEYS and isinstance(hands, list) and hands else doc
+        hand_dict = isinstance(hands, list) and hands and isinstance(hands[0], dict)
+        where = hands[0] if key in HAND_KEYS and hand_dict else doc
         where[key] = draw(st.one_of(any_float, json_junk))
     return doc
 
