@@ -11,10 +11,11 @@ import itertools
 import json
 import sys
 from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .benchmark import run_benchmark
 from .errors import ConfigError, FormatError, HandDepthError
 from .frame_io import (
     DepthFrame,
@@ -26,7 +27,9 @@ from .frame_io import (
     write_report,
 )
 from .pipeline import PipelineConfig, config_from_dict, run_pipeline
-from .synthetic import Scene, build_corpus, scene_from_dict, scene_to_dict
+
+if TYPE_CHECKING:  # synth and bench import the renderer themselves, so detect never loads it
+    from .synthetic import Scene
 
 FRAME_SUFFIXES = (".pgm", ".r16")
 
@@ -91,17 +94,28 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     overlay_dir = Path(args.out_overlay_dir) if args.out_overlay_dir else None
     if overlay_dir:
         overlay_dir.mkdir(parents=True, exist_ok=True)
-    with open(args.out_report, "wb") if args.out_report else nullcontext(sys.stdout.buffer) as out:
-        for (name, frame), report in zip(named, reports):
-            out.write(write_report(report) + b"\n")
-            if overlay_dir:
-                (overlay_dir / f"{name}.ppm").write_bytes(
-                    write_overlay(frame, report.hands)
-                )
+    # Overlay i is written while frame i + 1 is detected. Report line i + 1 waits for that
+    # write, so a failure leaves the same lines and files as writing both in turn would.
+    with (open(args.out_report, "wb") if args.out_report else nullcontext(sys.stdout.buffer) as out,
+          ThreadPoolExecutor(1) as writer):
+        pending = None
+        try:
+            for (name, frame), report in zip(named, reports):
+                overlay = write_overlay(frame, report.hands) if overlay_dir else None
+                if pending:
+                    pending.result()
+                out.write(write_report(report) + b"\n")
+                if overlay_dir:
+                    pending = writer.submit((overlay_dir / f"{name}.ppm").write_bytes, overlay)
+        finally:
+            if pending:
+                pending.result()
     return 0
 
 
 def _load_scenes(path: str) -> list[Scene]:
+    from .synthetic import scene_from_dict
+
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -116,10 +130,14 @@ def _generate_corpus(n_scenes: int, args: argparse.Namespace) -> list[Scene]:
         raise ConfigError(f"--generate needs N >= 1, got {n_scenes}")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    from .synthetic import build_corpus
+
     return build_corpus(n_scenes, seed=args.seed, dropout_rate=args.dropout)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if not args.out_scenes and not args.out_dir:
+        raise ConfigError("synth needs --out-dir or --out-scenes")
     if args.generate is not None:
         scenes = _generate_corpus(args.generate, args)
     elif args.scenes:
@@ -128,6 +146,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         raise ConfigError("synth needs --scenes or --generate")
 
     if args.out_scenes:
+        from .synthetic import scene_to_dict
+
         doc = {"scenes": [scene_to_dict(s) for s in scenes]}
         Path(args.out_scenes).write_text(json.dumps(doc, indent=2) + "\n")
     if args.out_dir:
@@ -152,12 +172,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
                 }
             )
         (out / "ground_truth.json").write_text(json.dumps(manifest, indent=2) + "\n")
-    if not args.out_scenes and not args.out_dir:
-        raise ConfigError("synth needs --out-dir or --out-scenes")
     return 0
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .benchmark import run_benchmark
+
     config = _load_config(args.config)
     if args.scenes:
         scenes = _load_scenes(args.scenes)

@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
 import handdepth
-from handdepth import cli
 from handdepth.cli import main
-from handdepth.frame_io import read_pgm, write_pgm, write_raw
+from handdepth.frame_io import read_pgm, write_overlay, write_pgm, write_raw
+from handdepth.pipeline import PipelineConfig, run_pipeline
 from handdepth.synthetic import HandSpec, Scene, build_corpus, scene_to_dict
 
 
@@ -48,6 +49,38 @@ def test_detect_writes_jsonl_and_overlays(tmp_path, frame_dir):
     assert len(docs[0]["hands"][0]["fingertips"]) == 4
     assert sorted(p.name for p in overlay_dir.iterdir()) == ["f000.ppm", "f001.ppm"]
     assert (overlay_dir / "f000.ppm").read_bytes().startswith(b"P6\n320 240\n255\n")
+
+
+def test_detect_overlays_are_write_overlay_bytes_and_no_thread_outlives_it(tmp_path, frame_dir):
+    overlay_dir = tmp_path / "overlays"
+    threads = threading.active_count()
+    assert main(["detect", "--input", str(frame_dir), "--out-report", str(tmp_path / "r.jsonl"),
+                 "--out-overlay-dir", str(overlay_dir)]) == 0
+    assert threading.active_count() == threads
+    paths = sorted(frame_dir.iterdir())
+    frames = [read_pgm(p.read_bytes())[0] for p in paths]
+    for path, frame, report in zip(paths, frames, run_pipeline(frames, PipelineConfig())):
+        assert (overlay_dir / f"{path.stem}.ppm").read_bytes() == write_overlay(frame, report.hands)
+
+
+def test_detect_stops_at_a_failed_overlay_write(tmp_path, frame_dir, capsys):
+    (frame_dir / "f002.pgm").write_bytes((frame_dir / "f000.pgm").read_bytes())
+    report = tmp_path / "out.jsonl"
+    overlays = tmp_path / "overlays"
+    (overlays / "f001.ppm").mkdir(parents=True)  # the write of frame 1's overlay fails
+    args = ["detect", "--input", str(frame_dir), "--out-report", str(report),
+            "--out-overlay-dir", str(overlays)]
+    assert main(args) == 2
+    lines = report.read_bytes().splitlines()
+    assert [json.loads(line)["frame_index"] for line in lines] == [0, 1]
+    assert sorted(p.name for p in overlays.iterdir()) == ["f000.ppm", "f001.ppm"]
+    assert (overlays / "f000.ppm").is_file()
+    # a corrupt next frame does not hide the failed write: it still exits 2
+    (frame_dir / "f002.pgm").write_bytes(b"P5\n4 4\n2047\n\x00\x01")
+    assert main(args) == 2
+    assert report.read_bytes().splitlines() == lines
+    err = capsys.readouterr().err
+    assert err.count("error:") == 2 and "format error" not in err and "Traceback" not in err
 
 
 def test_detect_leaves_an_old_report_intact_when_the_overlay_dir_is_a_file(
@@ -183,6 +216,16 @@ def test_import_loads_only_the_detector():
     assert done.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_cli_import_loads_neither_the_renderer_nor_the_scorer():
+    code = ("import sys, handdepth.cli; "
+            "print([m for m in ('handdepth.synthetic', 'handdepth.benchmark') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(handdepth.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]"]
+
+
 def test_synth_scene_file_round_trip(tmp_path, scene):
     scene_file = tmp_path / "scenes.json"
     scene_file.write_text(json.dumps({"scenes": [scene_to_dict(scene)]}))
@@ -210,6 +253,17 @@ def test_synth_generate_corpus(tmp_path):
 
 def test_synth_needs_some_output(tmp_path):
     assert main(["synth", "--generate", "1"]) == 2
+
+
+def test_synth_checks_its_outputs_before_its_scenes(tmp_path, monkeypatch, capsys):
+    built = []
+    monkeypatch.setattr("handdepth.synthetic.build_corpus", lambda *a, **k: built.append(a))
+    assert main(["synth", "--generate", "20000"]) == 2
+    assert built == []  # the missing output is found before any scene is made
+    assert main(["synth", "--scenes", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("synth needs --out-dir or --out-scenes") == 2
+    assert "scene file" not in err and "Traceback" not in err
 
 
 def test_bench_metrics(tmp_path):
@@ -363,7 +417,7 @@ def test_bench_generates_200_scenes_by_default(monkeypatch):
         sizes.append(n_scenes)
         return build_corpus(1, **kwargs)
 
-    monkeypatch.setattr(cli, "build_corpus", small_corpus)
+    monkeypatch.setattr("handdepth.synthetic.build_corpus", small_corpus)
     assert main(["bench"]) == 0
     assert main(["bench", "--generate", "1"]) == 0
     assert sizes == [200, 1]
