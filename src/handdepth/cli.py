@@ -102,13 +102,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         try:
             for (name, frame), report in zip(named, reports):
                 overlay = write_overlay(frame, report.hands) if overlay_dir else None
-                if pending:
+                if pending is not None:
                     pending.result()
                 out.write(write_report(report) + b"\n")
                 if overlay_dir:
                     pending = writer.submit((overlay_dir / f"{name}.ppm").write_bytes, overlay)
         finally:
-            if pending:
+            if pending is not None:
                 pending.result()
     return 0
 
