@@ -332,6 +332,32 @@ def test_corpus_scenes_and_frames_are_pinned():
     assert frames.hexdigest() == "078ed00b6aa4d57991d0303f020267dbc40740efe7b853ee9e948df782e27dc6"
 
 
+def two_hand_scenes(count, seed):
+    """Seeded left/right hand pairs at 400x240 with dropout; 180 px apart, so they never touch."""
+    rng = np.random.default_rng(seed)
+    scenes = []
+    for _ in range(count):
+        depths = rng.uniform(60.0, 150.0, size=2)
+        specs = [random_hand_spec(rng, (400, 240), float(depths[0]), (0, 0, 110, 239)),
+                 random_hand_spec(rng, (400, 240), float(depths[1]), (290, 0, 399, 239))]
+        scenes.append((specs, float(depths.max() + rng.uniform(60, 90)),
+                       int(rng.integers(0, 2**32)), float(rng.uniform(0.0, 0.1))))
+    return scenes
+
+
+def test_two_hand_frames_are_pinned():
+    # Digest of the samples, supports and tips of 8 two-hand frames with dropout.
+    digest = hashlib.sha256()
+    for specs, background, noise_seed, dropout in two_hand_scenes(8, seed=29):
+        frame, truths = render_scene(specs, (400, 240), background,
+                                     noise_seed=noise_seed, dropout_rate=dropout)
+        digest.update(frame.samples.tobytes())
+        for truth in truths:
+            digest.update(truth.support.tobytes())
+            digest.update(json.dumps(truth.fingertips).encode())
+    assert digest.hexdigest() == "266d3fd3666a97af37612b4d453c79b1becf912e006d511bfd9c5079e485b6e8"
+
+
 def test_corpus_is_seeded_and_in_range():
     corpus = build_corpus(20, seed=7)
     again = build_corpus(20, seed=7)
