@@ -6,6 +6,10 @@ Raw depth decreases linearly along each finger so the tip is the strict
 depth minimum; the renderer records the exact pixel it guarantees the
 detector must find, which makes rendered scenes usable as oracles for
 accuracy measurements.
+
+A ``Scene`` is checked once, when it is built (ConfigError); its
+``render`` draws every hand into one raw array, then applies the seeded
+dropout.  ``render_scene`` builds a ``Scene`` and renders it.
 """
 
 from __future__ import annotations
@@ -112,37 +116,21 @@ class GroundTruth:
     finger_widths: tuple[float, ...] = ()
 
 
-def _check_in_frame(points: list[tuple[float, float]], width: int, height: int) -> None:
-    for x, y in points:
-        if not (0 <= x <= width - 1 and 0 <= y <= height - 1):
-            raise GeometryError(f"hand geometry leaves the frame at ({x:.1f}, {y:.1f})")
+def _draw_hand(spec: HandSpec, raw: np.ndarray, X: np.ndarray, Y: np.ndarray,
+               params: CalibrationParams) -> GroundTruth:
+    """Paint one hand into ``raw`` (raw codes over the frame's pixel grid ``X``, ``Y``).
 
-
-def render_hand(
-    spec: HandSpec,
-    frame_size: tuple[int, int],
-    background_depth_cm: float,
-    params: CalibrationParams = DEFAULT_CALIBRATION,
-) -> tuple[DepthFrame, GroundTruth]:
-    """Rasterize one hand over a flat background.
-
-    The background must sit at least 50 cm behind the hand so that depth
-    segmentation has something to separate.  Raises GeometryError if any
-    part of the hand leaves the frame.
+    Raises GeometryError if any part of the hand leaves the frame, a
+    finger covers no pixel or its slope descends below raw 0.
     """
-    width, height = frame_size
-    if background_depth_cm < spec.base_depth_cm + 50:
-        raise ValueError("background must be at least 50 cm behind the hand")
+    height, width = raw.shape
     cx, cy = spec.palm_center
     base_raw = cm_to_raw(spec.base_depth_cm, params)
-    bg_raw = cm_to_raw(background_depth_cm, params)
 
     extremes = [(cx - spec.palm_radius, cy - spec.palm_radius),
                 (cx + spec.palm_radius, cy + spec.palm_radius)]
     geom = []
-    for angle, length, fwidth in zip(
-        spec.finger_angles_deg(), spec.finger_length, spec.finger_width
-    ):
+    for angle, length, fwidth in zip(spec.finger_angles_deg(), spec.finger_length, spec.finger_width):
         ux, uy = _unit(angle)
         vx, vy = -uy, ux
         half = fwidth / 2.0
@@ -157,14 +145,13 @@ def render_hand(
             (tx + half, ty + half),
         ]
         geom.append((ux, uy, length, half, tx, ty))
-    _check_in_frame(extremes, width, height)
+    for x, y in extremes:
+        if not (0 <= x <= width - 1 and 0 <= y <= height - 1):
+            raise GeometryError(f"hand geometry leaves the frame at ({x:.1f}, {y:.1f})")
 
-    X, Y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
     dx, dy = X - cx, Y - cy
-    palm = dx * dx + dy * dy <= spec.palm_radius * spec.palm_radius
-    raw = np.full((height, width), bg_raw, dtype=np.int64)
-    raw[palm] = base_raw
-    support = palm.copy()
+    support = dx * dx + dy * dy <= spec.palm_radius * spec.palm_radius
+    raw[support] = base_raw
 
     tips: list[tuple[int, int]] = []
     for ux, uy, length, half, tx, ty in geom:
@@ -176,79 +163,33 @@ def render_hand(
         if not shape.any():
             raise GeometryError("finger rasterized to nothing; widen or lengthen it")
         fraw = base_raw - np.rint(spec.tip_slope * np.maximum(s, 0.0)).astype(np.int64)
-        if int(fraw[shape].min()) < 0:
-            raise GeometryError("finger slope descends below raw 0; reduce tip_slope")
 
-        # ground-truth tip: the pixel farthest along the finger axis
-        s_in = np.where(shape, s, -np.inf)
-        flat = int(np.argmax(s_in))  # ties: min y, then min x
-        ty_px, tx_px = divmod(flat, width)
-        if spec.tip_slope > 0:
+        # ground-truth tip: the pixel farthest along the finger axis (ties: min y, then min x)
+        ty_px, tx_px = divmod(int(np.argmax(np.where(shape, s, -np.inf))), width)
+        lowest = int(fraw[shape].min())  # at the tip, as fraw never rises along s
+        if spec.tip_slope > 0 and int((fraw[shape] == lowest).sum()) > 1:
             # rounding can tie nearby cap pixels with the apex; deepen the
             # apex one raw unit so the tip is the strict minimum
-            lowest = int(fraw[shape].min())
-            if int((fraw[shape] == lowest).sum()) > 1:
-                fraw[ty_px, tx_px] = lowest - 1
-                if lowest - 1 < 0:
-                    raise GeometryError("finger slope descends below raw 0; reduce tip_slope")
-        raw = np.where(shape, np.minimum(raw, fraw), raw)
+            lowest -= 1
+            fraw[ty_px, tx_px] = lowest
+        if lowest < 0:
+            raise GeometryError("finger slope descends below raw 0; reduce tip_slope")
+        np.minimum(raw, fraw, out=raw, where=shape)
         support |= shape
         tips.append((tx_px, ty_px))
 
-    frame = DepthFrame(raw.astype(np.uint16))
-    truth = GroundTruth(
+    return GroundTruth(
         palm_center=(int(round(cx)), int(round(cy))),
         palm_radius=float(spec.palm_radius),
         fingertips=tips,
         support=support,
         finger_widths=tuple(spec.finger_width),
     )
-    return frame, truth
 
 
-def render_scene(
-    specs: list[HandSpec],
-    frame_size: tuple[int, int],
-    background_depth_cm: float,
-    noise_seed: int = 0,
-    dropout_rate: float = 0.0,
-    params: CalibrationParams = DEFAULT_CALIBRATION,
-) -> tuple[DepthFrame, list[GroundTruth]]:
-    """Composite up to two hands, then knock out a fraction of hand pixels.
-
-    Hands must not overlap.  Dropout replaces a deterministic,
-    seed-chosen fraction of hand-support pixels with the no-measurement
-    sentinel; ground truth refers to the pre-dropout scene.
-    """
-    if len(specs) > 2:
-        raise ValueError("a scene holds at most two hands")
-    if not 0 <= dropout_rate < 1:
-        raise ValueError("dropout_rate must lie in [0, 1)")
-    width, height = frame_size
-    bg_raw = cm_to_raw(background_depth_cm, params)
-    raw = np.full((height, width), bg_raw, dtype=np.int64)
-    truths = []
-    occupied = np.zeros((height, width), dtype=bool)
-    for spec in specs:
-        frame, truth = render_hand(spec, frame_size, background_depth_cm, params)
-        if (occupied & truth.support).any():
-            raise GeometryError("hand supports overlap")
-        occupied |= truth.support
-        raw = np.where(truth.support, np.minimum(raw, frame.samples.astype(np.int64)), raw)
-        truths.append(truth)
-
-    if dropout_rate > 0 and occupied.any():
-        ys, xs = np.nonzero(occupied)
-        count = int(round(dropout_rate * ys.size))
-        if count:
-            rng = np.random.default_rng(noise_seed)
-            pick = rng.choice(ys.size, size=count, replace=False)
-            raw[ys[pick], xs[pick]] = RAW_SENTINEL
-    return DepthFrame(raw.astype(np.uint16)), truths
-
-
-# A one-hand render peaks near 100 bytes per pixel, so this caps a scene's
-# frame at about 430 MB of rendering instead of an allocation failure.
+# A render peaks near 94 bytes per pixel (tracemalloc, a 1024x1024 frame of
+# one or two five-finger hands), so this caps a scene's frame at about
+# 400 MB of rendering instead of an allocation failure.
 MAX_FRAME_PIXELS = 2048 * 2048
 
 
@@ -278,12 +219,14 @@ class Scene:
         if not 0 <= dropout_rate < 1:
             raise ConfigError(f"dropout_rate must lie in [0, 1), not {dropout_rate}")
         background = float(number(self.background_depth_cm, "background_depth_cm", ConfigError))
-        if not all(isinstance(spec, HandSpec) for spec in self.hands):
-            raise ConfigError("hands must be HandSpec records")
-        if len(self.hands) > 2:
-            raise ConfigError(f"a scene holds at most two hands, got {len(self.hands)}")
-        if any(background < spec.base_depth_cm + 50 for spec in self.hands):
+        hands = self.hands
+        if not (isinstance(hands, (list, tuple)) and all(isinstance(h, HandSpec) for h in hands)):
+            raise ConfigError(f"hands must be a list of hand specs, not {hands!r}")
+        if len(hands) > 2:
+            raise ConfigError(f"a scene holds at most two hands, got {len(hands)}")
+        if any(background < spec.base_depth_cm + 50 for spec in hands):
             raise ConfigError("background_depth_cm must be at least 50 cm behind every hand")
+        object.__setattr__(self, "hands", tuple(hands))
         object.__setattr__(self, "frame_size", tuple(size))
         object.__setattr__(self, "background_depth_cm", background)
         object.__setattr__(self, "dropout_rate", dropout_rate)
@@ -291,14 +234,45 @@ class Scene:
     def render(
         self, params: CalibrationParams = DEFAULT_CALIBRATION
     ) -> tuple[DepthFrame, list[GroundTruth]]:
-        return render_scene(
-            list(self.hands),
-            self.frame_size,
-            self.background_depth_cm,
-            self.noise_seed,
-            self.dropout_rate,
-            params,
-        )
+        """Draw every hand into one frame, then knock out a fraction of hand pixels.
+
+        Hands must not overlap (GeometryError).  Dropout replaces a
+        deterministic, ``noise_seed``-chosen fraction of hand-support
+        pixels with the no-measurement sentinel; ground truth refers to
+        the pre-dropout scene.
+        """
+        width, height = self.frame_size
+        X, Y = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(height, dtype=np.float64))
+        raw = np.full((height, width), cm_to_raw(self.background_depth_cm, params), dtype=np.int64)
+        occupied = np.zeros((height, width), dtype=bool)
+        truths = []
+        for spec in self.hands:
+            truth = _draw_hand(spec, raw, X, Y, params)
+            if (occupied & truth.support).any():
+                raise GeometryError("hand supports overlap")
+            occupied |= truth.support
+            truths.append(truth)
+
+        if self.dropout_rate > 0 and occupied.any():
+            ys, xs = np.nonzero(occupied)
+            count = int(round(self.dropout_rate * ys.size))
+            if count:
+                rng = np.random.default_rng(self.noise_seed)
+                pick = rng.choice(ys.size, size=count, replace=False)
+                raw[ys[pick], xs[pick]] = RAW_SENTINEL
+        return DepthFrame(raw.astype(np.uint16)), truths
+
+
+def render_scene(
+    specs: list[HandSpec],
+    frame_size: tuple[int, int],
+    background_depth_cm: float,
+    noise_seed: int = 0,
+    dropout_rate: float = 0.0,
+    params: CalibrationParams = DEFAULT_CALIBRATION,
+) -> tuple[DepthFrame, list[GroundTruth]]:
+    """``Scene(specs, ...).render(params)``: a bad argument raises ConfigError as in a scene file."""
+    return Scene(specs, frame_size, background_depth_cm, dropout_rate, noise_seed).render(params)
 
 
 def random_hand_spec(
@@ -386,9 +360,9 @@ def hand_spec_from_dict(data: dict) -> HandSpec:
 def scene_from_dict(data: dict) -> Scene:
     check_keys(data, _SCENE_KEYS, "scene")
     hands = data.get("hands", [])
-    if not isinstance(hands, (list, tuple)):
-        raise ConfigError(f"hands must be a list, not {hands!r}")
-    return Scene(**{**data, "hands": tuple(hand_spec_from_dict(h) for h in hands)})
+    if isinstance(hands, (list, tuple)):
+        hands = [hand_spec_from_dict(h) for h in hands]
+    return Scene(**{**data, "hands": hands})
 
 
 def scene_to_dict(scene: Scene) -> dict:

@@ -9,7 +9,7 @@ from handdepth.distance import distance_transform, find_palm_center
 from handdepth.fingertips import detect_fingertips
 from handdepth.morphology import extract_palm
 from handdepth.pipeline import PipelineConfig, extract_hands
-from handdepth.synthetic import HandSpec, build_corpus, render_hand
+from handdepth.synthetic import HandSpec, build_corpus, render_scene
 
 from reference import edge_masks, fingertips_from_blobs, random_mask
 
@@ -103,7 +103,7 @@ def test_synthetic_tips_found_exactly():
         base_depth_cm=85,
         tip_slope=1,
     )
-    frame, truth = render_hand(spec, (180, 180), 170)
+    frame, (truth,) = render_scene([spec], (180, 180), 170)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))

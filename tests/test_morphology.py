@@ -7,7 +7,7 @@ from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError, EmptyResultError
 from handdepth.fingertips import detect_fingertips
 from handdepth.morphology import auto_radius, extract_palm
-from handdepth.synthetic import HandSpec, render_hand
+from handdepth.synthetic import HandSpec, render_scene
 
 from reference import (
     deterministic,
@@ -204,7 +204,7 @@ def test_extract_palm_on_synthetic_hand():
         base_depth_cm=80,
         tip_slope=2,
     )
-    _, truth = render_hand(spec, (200, 200), 160)
+    _, (truth,) = render_scene([spec], (200, 200), 160)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
@@ -253,7 +253,7 @@ def make_hand_and_palm(finger_count, orientation):
         base_depth_cm=80,
         tip_slope=2,
     )
-    frame, truth = render_hand(spec, (200, 200), 160)
+    frame, (truth,) = render_scene([spec], (200, 200), 160)
     dist = distance_transform(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))

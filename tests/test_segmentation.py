@@ -24,7 +24,7 @@ from handdepth.segmentation import (
     select_hand_blob,
 )
 from handdepth.pipeline import PipelineConfig, extract_hands
-from handdepth.synthetic import HandSpec, build_corpus, render_hand, render_scene
+from handdepth.synthetic import HandSpec, build_corpus, render_scene
 
 from reference import (
     blob_key,
@@ -245,7 +245,7 @@ def test_threshold_recovers_synthetic_support_exactly():
         base_depth_cm=80,
         tip_slope=1,  # tips reach ~6 cm toward the camera, well inside the band
     )
-    frame, truth = render_hand(spec, (160, 140), 200)
+    frame, (truth,) = render_scene([spec], (160, 140), 200)
     seed_raw = int(frame.samples[truth.palm_center[1], truth.palm_center[0]])
     seed = HandSeed(*truth.palm_center, depth_raw=seed_raw)
     mask = band_mask(frame, seed, 15.0)
@@ -325,7 +325,7 @@ def test_find_seeds_single_hand():
     spec = HandSpec(palm_center=(80, 70), palm_radius=20, finger_count=2,
                     finger_length=24, finger_width=8, orientation_deg=45,
                     base_depth_cm=80, tip_slope=2)
-    frame, truth = render_hand(spec, (160, 140), 170)
+    frame, (truth,) = render_scene([spec], (160, 140), 170)
     seeds = find_hand_seeds(frame, 2, min_area=50)
     assert len(seeds) == 1
     seed = seeds[0]

@@ -14,7 +14,6 @@ from handdepth.synthetic import (
     build_corpus,
     hand_spec_from_dict,
     random_hand_spec,
-    render_hand,
     render_scene,
     scene_from_dict,
     scene_to_dict,
@@ -58,7 +57,7 @@ def analytic_finger_membership(spec, index, x, y):
 
 def test_fingerless_hand_is_a_disk():
     spec = basic_spec(finger_count=0, finger_length=(), finger_width=())
-    frame, truth = render_hand(spec, (200, 200), 170)
+    frame, (truth,) = render_scene([spec], (200, 200), 170)
     ys, xs = np.ogrid[:200, :200]
     disk = (xs - 100) ** 2 + (ys - 100) ** 2 <= 28 * 28
     assert (truth.support == disk).all()
@@ -69,7 +68,7 @@ def test_fingerless_hand_is_a_disk():
 
 def test_five_finger_hand_axis_tip_is_analytic():
     spec = basic_spec()
-    _, truth = render_hand(spec, (260, 260), 170)
+    _, (truth,) = render_scene([spec], (260, 260), 170)
     assert len(truth.fingertips) == 5
     # middle finger points along +x: apex pixel is exactly center + R + L + w/2
     assert truth.fingertips[2] == (100 + 28 + 36 + 5, 100)
@@ -108,7 +107,7 @@ def test_support_equals_analytic_union():
     rng = np.random.default_rng(1001)
     for _ in range(5):
         spec = random_hand_spec(rng, (320, 240), float(rng.uniform(60, 150)))
-        _, truth = render_hand(spec, (320, 240), spec.base_depth_cm + 60)
+        _, (truth,) = render_scene([spec], (320, 240), spec.base_depth_cm + 60)
         assert (truth.support == analytic_support(spec, (320, 240))).all()
 
 
@@ -116,7 +115,7 @@ def test_tips_are_strict_raw_minima_within_their_finger():
     rng = np.random.default_rng(99)
     for _ in range(10):
         spec = random_hand_spec(rng, (320, 240), float(rng.uniform(60, 150)))
-        frame, truth = render_hand(spec, (320, 240), spec.base_depth_cm + 60)
+        frame, (truth,) = render_scene([spec], (320, 240), spec.base_depth_cm + 60)
         for i, (tx, ty) in enumerate(truth.fingertips):
             tip_raw = int(frame.samples[ty, tx])
             # only pixels at least as shallow as the tip could violate strictness
@@ -131,8 +130,8 @@ def test_quarter_turn_orientation_matches_rotated_raster():
     # square frame with the palm on the rotation fixed point
     spec0 = basic_spec(palm_center=(100.0, 100.0), orientation_deg=0)
     spec90 = basic_spec(palm_center=(100.0, 100.0), orientation_deg=90)
-    frame0, truth0 = render_hand(spec0, (201, 201), 170)
-    frame90, truth90 = render_hand(spec90, (201, 201), 170)
+    frame0, (truth0,) = render_scene([spec0], (201, 201), 170)
+    frame90, (truth90,) = render_scene([spec90], (201, 201), 170)
     # clockwise raster rotation turns a +x fan into a +y fan
     assert (truth90.support == np.rot90(truth0.support, -1)).all()
     assert (frame90.samples == np.rot90(frame0.samples, -1)).all()
@@ -162,11 +161,12 @@ def test_scene_of_disjoint_hands_is_union():
     b = basic_spec(palm_center=(230.0, 100.0), finger_count=3, finger_length=30,
                    finger_width=9, orientation_deg=290)
     frame, truths = render_scene([a, b], (300, 200), 170)
-    fa, ta = render_hand(a, (300, 200), 170)
-    fb, tb = render_hand(b, (300, 200), 170)
+    fa, (ta,) = render_scene([a], (300, 200), 170)
+    fb, (tb,) = render_scene([b], (300, 200), 170)
     assert (frame.samples == np.where(ta.support, fa.samples, fb.samples)).all()
     assert not (ta.support & tb.support).any()
-    assert len(truths) == 2
+    assert [t.fingertips for t in truths] == [ta.fingertips, tb.fingertips]
+    assert (truths[0].support == ta.support).all() and (truths[1].support == tb.support).all()
 
 
 def test_overlapping_hands_rejected():
@@ -178,20 +178,42 @@ def test_overlapping_hands_rejected():
 
 def test_three_hands_rejected():
     a = basic_spec()
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         render_scene([a, a, a], (400, 400), 170)
+
+
+def test_render_scene_arguments_checked_as_a_scene():
+    with pytest.raises(ConfigError, match="frame_size"):
+        render_scene([], (0, 5), 170)
+    with pytest.raises(ConfigError, match="dropout_rate"):
+        render_scene([basic_spec()], (200, 200), 170, dropout_rate=math.nan)
+
+
+def test_scene_hands_is_a_tuple():
+    scene = Scene(hands=[basic_spec()])
+    assert scene.hands == (basic_spec(),)
+    hash(scene)
+    for bad in (5, None, basic_spec()):
+        with pytest.raises(ConfigError, match="hands"):
+            Scene(hands=bad)
 
 
 def test_geometry_leaving_frame_rejected():
     with pytest.raises(GeometryError):
-        render_hand(basic_spec(palm_center=(20.0, 100.0)), (200, 200), 170)
+        render_scene([basic_spec(palm_center=(20.0, 100.0))], (200, 200), 170)
     with pytest.raises(GeometryError):
-        render_hand(basic_spec(), (120, 120), 170)
+        render_scene([basic_spec()], (120, 120), 170)
+
+
+def test_finger_below_raw_zero_rejected():
+    spec = basic_spec(base_depth_cm=60, tip_slope=20, finger_length=60)
+    with pytest.raises(GeometryError, match="below raw 0"):
+        render_scene([spec], (200, 200), 170)
 
 
 def test_background_must_sit_behind():
-    with pytest.raises(ValueError):
-        render_hand(basic_spec(base_depth_cm=80), (200, 200), 100)
+    with pytest.raises(ConfigError):
+        render_scene([basic_spec(base_depth_cm=80)], (200, 200), 100)
 
 
 def test_hand_spec_validation():
@@ -233,7 +255,7 @@ def test_scene_unknown_keys_rejected():
     for bad in ([], {"hands": [], "frame_size": "x"}, {"hands": [], "frame_size": [320.0, 240]},
                 {"hands": [], "frame_size": [1000000000, 1000000000]},
                 {"hands": [], "frame_size": [2049, 2048]},
-                {"hands": [[]]}, {"hands": [hand], "background_depth_cm": 80 + 49.5},
+                {"hands": [[]]}, {"hands": 5}, {"hands": [hand], "background_depth_cm": 80 + 49.5},
                 {"hands": [hand], "background_depth_cm": float("nan")},
                 {"hands": [hand], "background_depth_cm": float("inf")},
                 {"hands": [{**hand, "base_depth_cm": float("nan")}]},
