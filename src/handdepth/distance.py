@@ -12,12 +12,13 @@ contiguous blocks of whole rows of gp, and an offset costs three calls:
 the smaller neighbour into one scratch buffer, plus k^2, then the
 minimum into the result.  No offset can lower an entry once k^2 reaches
 the largest current value, so the pass stops there: for a hand mask
-after about inradius offsets.  Under a limit the last offset is fixed
-before the loop, from the limit and the largest row distance, so the
-loop takes no reduction.  Cost is O(pixels * offsets), with the offsets
+after about inradius offsets.  The offset pass runs in the narrowest
+of uint16, int32 and int64 that holds twice the largest row distance
+squared, which on a hand crop is uint16: its 1-px background border
+meets every row.  Cost is O(pixels * offsets), with the offsets
 running along axis 0 up to h, and O(pixels) memory.  Everything stays
 in integers; the square root is taken only when a radius is reported,
-so comparisons, such as extract_palm's two r*r thresholds, are exact.
+so comparisons, such as extract_palm's r*r threshold, are exact.
 """
 
 from __future__ import annotations
@@ -39,45 +40,41 @@ class PalmCenter:
     inradius_px: float
 
 
-def sq_edt(target: np.ndarray, *, limit: int | None = None) -> np.ndarray:
+def sq_edt(target: np.ndarray) -> np.ndarray:
     """Exact squared distance from every pixel to the nearest True pixel.
 
     If no pixel is True, every entry holds a value strictly larger than
-    any squared distance realizable on the grid.  With ``limit``, entries
-    up to ``limit`` are exact and every other entry is only guaranteed to
-    exceed it, which is all a threshold at ``limit`` needs.
+    any squared distance realizable on the grid.
 
-    The offset pass reads g from gp, padded with rows of ``iinfo.max // 2``,
-    at three calls per offset.  Without a limit it stops once k^2 reaches
-    the largest remaining value.  With one it runs k = 1 ..
-    ``isqrt(min(limit, g.max()))`` (at most h - 1), fixed up front, with no
-    reduction in the loop.  An entry's minimising offset k has
-    k^2 <= its value <= g.max(), and no offset past the uncapped stop
-    lowers an entry, so the whole array equals that of a capped loop
-    that also stops on the largest remaining value.
+    The offset pass reads g from gp, padded with rows of ``iinfo.max // 2``
+    of the first of uint16, int32 and int64 whose ``max // 2`` is at
+    least g.max(), at three calls per offset, and stops once k^2 reaches
+    the largest remaining value.  The pad is at least every true value,
+    and pad + k^2 <= 2 * (max // 2) because k^2 <= g.max(), so nothing
+    wraps and a pad row never lowers an entry.
     """
     h, w = target.shape
     far = h + w + 1
     if not target.any():
         return np.full((h, w), far * far, dtype=np.int64)
-    # Every intermediate stays below 2 * far**2, so int32 holds it on any
-    # realistic frame; int32 halves the memory traffic of the offset pass.
+    # row * row < far**2 fits the row pass's dtype on any realistic frame.
     dtype = np.int32 if 2 * far * far <= np.iinfo(np.int32).max else np.int64
     cols = np.arange(w, dtype=dtype)
     left = np.maximum.accumulate(np.where(target, cols, -far), axis=1)
     right = np.minimum.accumulate(np.where(target, cols, w + far)[:, ::-1], axis=1)[:, ::-1]
     row = np.minimum(np.minimum(cols - left, right - cols), far)
     top = int(row.max()) ** 2  # g.max()
-    last = min(h - 1, math.isqrt(top if limit is None else max(0, min(limit, top))))
-    # The pad is at least far**2, above every g, and pad + k*k still fits
-    # the dtype because 2 * far**2 does, so a pad row never lowers an entry.
+    # A hand crop's 1-px background border meets every row, so there top is
+    # about (w / 2)**2 at most, and uint16 holds it below ~360 px of width.
+    dtype = next(t for t in (np.uint16, np.int32, np.int64) if top <= np.iinfo(t).max // 2)
+    last = min(h - 1, math.isqrt(top))
     gp = np.full((h + 2 * last, w), np.iinfo(dtype).max // 2, dtype=dtype)
     g = gp[last:last + h]
-    np.multiply(row, row, out=g)
+    np.multiply(row, row, out=g, casting="unsafe")  # exact: row * row <= top <= the pad
     out = g.copy()
     tmp = np.empty_like(out)
     for k in range(1, last + 1):
-        if limit is None and k * k >= out.max():
+        if k * k >= out.max():
             break
         np.minimum(gp[last - k:last - k + h], gp[last + k:last + k + h], out=tmp)
         tmp += k * k

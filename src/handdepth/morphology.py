@@ -1,14 +1,17 @@
 """Palm opening.
 
 The palm is the hand's opening by a closed disk of radius r (integer
-offsets with dx^2 + dy^2 <= r^2), taken as two thresholds on exact
-squared distances.  The erosion keeps the pixels whose squared distance
-to background, the hand's distance_transform, exceeds r*r.  The
-dilation marks the pixels whose squared distance to that core, from
-sq_edt, is at most r*r.  Both thresholds are exact for closed disks.
-The dilation caps its transform at r*r, so it stops after r offsets,
-and it runs only on the core's bbox grown by r.  Out-of-frame pixels
-count as background.
+offsets with dx^2 + dy^2 <= r^2).  The erosion keeps the pixels whose
+squared distance to background, the hand's distance_transform, exceeds
+r*r: an exact threshold.  The dilation is painted from the core's runs.
+A core pixel's disk covers, on the row dy away, the columns within
+a = isqrt(r*r - dy*dy) of it, so a run [s, e) covers [s - a, e + a)
+there.  Every run and every dy in [-r, r] marks +1 at the start and -1
+at the end of its span, and one prefix sum, positive exactly where some
+span covers, is the union of the disks.  The marks go on a canvas of
+the core's bbox grown by r, large enough that no span needs clipping;
+its in-crop part is the dilation.  Out-of-crop pixels count as
+background.
 
 One distance map per hand gives the palm inradius, the erosion and the
 palm-center argmax.  The fingers are what the opening strips off the
@@ -17,9 +20,10 @@ hand; fingertips.detect_fingertips splits them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .distance import sq_edt
 from .errors import EmptyResultError
 
 
@@ -34,15 +38,29 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
         raise ValueError("palm extraction radius must be >= 1")
     rr = radius * radius
     core = hand_dist > rr
-    rows, cols = np.flatnonzero(core.any(axis=1)), np.flatnonzero(core.any(axis=0))
-    if rows.size == 0:
+    h, w = core.shape
+    # Runs from the row transitions of the core with a False column after
+    # each row and a False in front: they alternate start, end, ...
+    padded = np.zeros(h * (w + 1) + 1, dtype=bool)
+    padded[1:].reshape(h, w + 1)[:, :w] = core
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    if edges.size == 0:
         raise EmptyResultError(f"opening by radius {radius} left no palm")
-    # A pixel more than r outside the core's bbox is more than r from the
-    # core, so the dilation runs on that bbox grown by r (clipped).
-    window = (slice(max(rows[0] - radius, 0), rows[-1] + radius + 1),
-              slice(max(cols[0] - radius, 0), cols[-1] + radius + 1))
+    run_y, start = np.divmod(edges[0::2], w + 1)
+    end = edges[1::2] - run_y * (w + 1)
+    # The canvas spans the core's bbox grown by r, plus a column that takes
+    # the -1 of spans reaching its right edge; (x0, y0) is its corner.
+    x0, y0 = int(start.min()) - radius, int(run_y[0]) - radius
+    cw, ch = int(end.max()) + radius - x0 + 1, int(run_y[-1]) + radius - y0 + 1
+    reach = np.array([math.isqrt(rr - dy * dy) for dy in range(-radius, radius + 1)])
+    base = (run_y[:, None] + np.arange(-radius - y0, radius - y0 + 1)) * cw - x0
+    n = ch * cw
+    marks = (np.bincount((base + (start[:, None] - reach)).ravel(), minlength=n)
+             - np.bincount((base + (end[:, None] + reach)).ravel(), minlength=n))
+    canvas = (np.cumsum(marks) > 0).reshape(ch, cw)
     opened = np.zeros_like(core)
-    opened[window] = sq_edt(core[window], limit=rr) <= rr
+    ya, xa, yb, xb = max(y0, 0), max(x0, 0), min(y0 + ch, h), min(x0 + cw - 1, w)
+    opened[ya:yb, xa:xb] = canvas[ya - y0:yb - y0, xa - x0:xb - x0]
     return opened
 
 

@@ -14,12 +14,16 @@ indices (a run breaks at a jump or a row start), finds the runs that
 touch across rows by binary search, merges them by hook and compress
 (Shiloach & Vishkin, J. Algorithms 1982): each round, every root joined
 to another hooks onto the least root it touches and pointers jump to the
-roots, until no pair joins two roots.  A hook only goes to a smaller run
-index, so a root is its component's first run in raster order, and the
-components come out in the raster order of their first pixels.  Stats
-come from the same runs (run-based labelling, He, Chao & Suzuki, IEEE
-TIP 2008).  Each component is its bbox and a boolean mask of the bbox's
-shape, painted from its own runs; no frame-sized label image is built.
+roots, until no pair joins two roots.  Round one, from every run as its
+own root, is one call: each run hooks onto the first run above it that
+it touches, so a chain climbs one row per link and h.bit_length()
+unchecked jumps reach its root.  A hook only goes to a smaller run
+index, so a root is its component's first run in raster order, the
+components come out in the raster order of their first pixels, and a
+component's index is its root's rank (no sort).  Stats come from the
+same runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each
+component is its bbox and a boolean mask of the bbox's shape, painted
+from its own runs; no frame-sized label image is built.
 
 The whole frame is labelled once, for the slab.  segment_hand builds
 the band's table over raw codes and ends in one of two ways:
@@ -132,22 +136,34 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
     lo = np.searchsorted(row_key + end, above + start + gap)
     hi = np.searchsorted(row_key + start, above + end - gap, side="right")
     count = np.maximum(hi - lo, 0)
-    # every touching pair (i, j): i runs through lo[j], ..., hi[j] - 1
-    pair_j = np.repeat(np.arange(count.size), count)
-    pair_i = np.arange(pair_j.size) + np.repeat(lo + count - np.cumsum(count), count)
-
-    # Hook and compress (see the module docstring).  Every run points at a
-    # root; each round keeps only the pairs whose roots still differ.
-    parent = np.arange(count.size)
-    while pair_i.size:
+    # Round one of hook and compress (see the module docstring), from every
+    # run as its own root, hooks each run onto the first run above it that
+    # it touches.  Every pointer then goes up one row, so a chain has at
+    # most h - 1 links, and h.bit_length() jumps (2**jumps > h) reach the roots.
+    index = np.arange(count.size)
+    parent = np.where(count > 0, lo, index)
+    for _ in range(h.bit_length()):
+        parent = parent[parent]
+    # Later rounds take the touching pairs (i, j) round one left: i runs
+    # through lo[j] + 1, ..., hi[j] - 1.  Every run points at a root; each
+    # round keeps only the pairs whose roots still differ, and stops when
+    # none do.
+    more = np.maximum(count - 1, 0)
+    pair_j = np.repeat(index, more)
+    pair_i = np.arange(pair_j.size) + np.repeat(hi - np.cumsum(more), more)
+    while True:
         pair_i, pair_j = parent[pair_i], parent[pair_j]
         joins = pair_i != pair_j
+        if not joins.any():
+            break
         pair_i, pair_j = pair_i[joins], pair_j[joins]
         np.minimum.at(parent, np.maximum(pair_i, pair_j), np.minimum(pair_i, pair_j))
         jumped = parent[parent]
         while (jumped != parent).any():
             parent, jumped = jumped, jumped[jumped]
-    roots, component = np.unique(parent, return_inverse=True)
+    # Roots are in raster order, so a component's index is its root's rank.
+    is_root = parent == index
+    roots, component = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
     return roots, flat, (run_y, start, end, component)
 
 

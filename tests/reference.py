@@ -143,12 +143,11 @@ def sq_edt_envelope(target: np.ndarray) -> np.ndarray:
     return np.array([envelope_row(row) for row in g.tolist()], dtype=np.int64)
 
 
-def sq_edt_two_updates(target: np.ndarray, *, limit: int | None = None) -> np.ndarray:
+def sq_edt_two_updates(target: np.ndarray) -> np.ndarray:
     """The sq_edt offset pass that the padded three-call pass replaced, kept as its oracle.
 
     Each offset k lowers ``out`` from two ``g + k^2`` temporaries, one per
-    direction, and the loop tests ``k^2 < out.max()`` (and ``k^2 <= limit``)
-    before every offset.
+    direction, and the loop tests ``k^2 < out.max()`` before every offset.
     """
     h, w = target.shape
     far = h + w + 1
@@ -162,7 +161,7 @@ def sq_edt_two_updates(target: np.ndarray, *, limit: int | None = None) -> np.nd
     g = row * row
     out = g.copy()
     k = 1
-    while k < h and k * k < out.max() and (limit is None or k * k <= limit):
+    while k < h and k * k < out.max():
         kk = k * k
         np.minimum(out[k:], g[:-k] + kk, out=out[k:])
         np.minimum(out[:-k], g[k:] + kk, out=out[:-k])

@@ -157,11 +157,11 @@ def test_criterion_5_morphology_correctness():
         rr = radius * radius
         dist = distance_transform(mask)
         eroded = dist > rr
-        dilated = sq_edt(mask, limit=rr) <= rr
+        dilated = sq_edt(mask) <= rr
         assert (eroded == erode_setdef(mask, radius)).all()
         assert (dilated == dilate_setdef(mask, radius)).all()
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~(sq_edt(~padded, limit=rr) <= rr)
+        dual = ~(sq_edt(~padded) <= rr)
         assert (eroded == dual[radius:-radius, radius:-radius]).all()  # duality
         if not eroded.any():
             with pytest.raises(EmptyResultError):

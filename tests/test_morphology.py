@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from handdepth import morphology
+from handdepth import distance, morphology
 from handdepth.distance import distance_transform, find_palm_center, sq_edt
 from handdepth.errors import DegenerateHandError, EmptyResultError
 from handdepth.fingertips import detect_fingertips
@@ -31,7 +31,7 @@ def test_radius_zero_is_identity():
     rng = np.random.default_rng(1)
     mask = random_mask(rng, (12, 12))
     assert ((distance_transform(mask) > 0) == mask).all()
-    assert ((sq_edt(mask, limit=0) <= 0) == mask).all()
+    assert ((sq_edt(mask) <= 0) == mask).all()
 
 
 def test_matches_set_definition_oracle():
@@ -41,7 +41,7 @@ def test_matches_set_definition_oracle():
         for radius in (1, 2, 3):
             rr = radius * radius
             assert ((distance_transform(mask) > rr) == erode_setdef(mask, radius)).all()
-            assert ((sq_edt(mask, limit=rr) <= rr) == dilate_setdef(mask, radius)).all()
+            assert ((sq_edt(mask) <= rr) == dilate_setdef(mask, radius)).all()
 
 
 def test_opening_anti_extensive_and_idempotent():
@@ -88,7 +88,7 @@ def assert_extract_palm_dilates_the_core(core: np.ndarray, radius: int, seed: in
     rr = radius * radius
     hand_dist = map_with_core(core, radius, seed)
     if core.any():
-        assert np.array_equal(extract_palm(hand_dist, radius), sq_edt(core, limit=rr) <= rr)
+        assert np.array_equal(extract_palm(hand_dist, radius), sq_edt(core) <= rr)
     else:
         with pytest.raises(EmptyResultError):
             extract_palm(hand_dist, radius)
@@ -109,28 +109,20 @@ def test_extract_palm_dilates_cores_on_the_crop_edge():
 
 
 def test_extract_palm_dilates_once_within_the_grown_bbox(monkeypatch):
-    # The call is recorded through handdepth.morphology.sq_edt, the name the
-    # benchmark's tracer wraps.
-    calls = []
+    # The dilation is painted from the core's runs: no distance transform.
+    assert not hasattr(morphology, "sq_edt")
 
-    def recording(target, *, limit=None):
-        calls.append((target.shape, limit))
-        return sq_edt(target, limit=limit)
+    def no_call(*args, **kwargs):
+        raise AssertionError("extract_palm called sq_edt")
 
-    monkeypatch.setattr(morphology, "sq_edt", recording)
+    monkeypatch.setattr(distance, "sq_edt", no_call)
     # a 4x5 core in a 100x84 crop, in its middle or on its edges and corners
     for y, x in [(40, 52), (0, 0), (96, 79), (0, 30), (50, 79)]:
         core = np.zeros((100, 84), dtype=bool)
         core[y:y + 4, x:x + 5] = True
         for radius in (1, 4, 9):
-            calls.clear()
             opened = extract_palm(map_with_core(core, radius, 5), radius)
             assert np.array_equal(opened, dilate_setdef(core, radius))
-            grown = (min(y + 3 + radius, 99) - max(y - radius, 0) + 1,
-                     min(x + 4 + radius, 83) - max(x - radius, 0) + 1)
-            [(shape, limit)] = calls
-            assert limit == radius * radius
-            assert shape[0] <= grown[0] and shape[1] <= grown[1]
 
 
 def palm_centers_agree(mask: np.ndarray) -> int:
@@ -174,7 +166,7 @@ def test_duality_on_padded_domain():
         rr = radius * radius
         mask = random_mask(rng, (16, 16))
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~(sq_edt(~padded, limit=rr) <= rr)
+        dual = ~(sq_edt(~padded) <= rr)
         assert ((distance_transform(mask) > rr) == dual[radius:-radius, radius:-radius]).all()
 
 

@@ -204,6 +204,79 @@ def test_labelling_random_masks_match_oracles(mask):
     assert_labelling_matches_oracles(mask)
 
 
+def assert_runs_match_unionfind(mask):
+    for conn in (8, 4):
+        got, want = _label_runs(mask, conn), label_runs_unionfind(mask, conn)
+        for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2]), strict=True):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def strokes_joined_at_the_bottom(tops):
+    """Vertical strokes at every 4th column, stroke i from row tops[i] down to the last row.
+
+    Stroke i and stroke i + 1 are joined by a bar on row H or H + 1
+    (alternately), where H = len(tops); the whole is one 8-connected
+    serpentine path through the strokes.
+    """
+    n = len(tops)
+    mask = np.zeros((n + 2, 4 * n - 3), dtype=bool)
+    for i, top in enumerate(tops):
+        mask[top:, 4 * i] = True
+    for i in range(n - 1):
+        mask[n + i % 2, 4 * i:4 * i + 5] = True
+    return mask
+
+
+@pytest.mark.parametrize("k", range(1, 10))
+def test_labelling_vertical_lines_around_powers_of_two(k):
+    # A 1-px line of height n is a chain of n - 1 links after round one,
+    # the longest a mask of height n can hold.
+    for n in (2**k - 1, 2**k, 2**k + 1):
+        line = np.ones((n, 1), dtype=bool)
+        assert_runs_match_unionfind(line)
+        framed = np.zeros((n, 3), dtype=bool)
+        framed[:, 1] = True
+        assert_runs_match_unionfind(framed)
+        assert len(connected_components(framed)) == 1
+
+
+def test_labelling_diagonal_staircases():
+    for n in (2, 3, 63, 64, 65, 257):
+        for stairs in (np.eye(n, dtype=bool), np.eye(n, dtype=bool)[:, ::-1]):
+            assert_runs_match_unionfind(stairs)
+            assert len(connected_components(stairs)) == 1  # 8-connected: one chain
+            assert _label_runs(stairs, 4)[0].size == n  # 4-connected: n pixels apart
+        wide = np.zeros((n, n + 1), dtype=bool)  # 2-px steps touch 4-connected too
+        wide[np.arange(n), np.arange(n)] = wide[np.arange(n), np.arange(1, n + 1)] = True
+        assert_runs_match_unionfind(wide)
+
+
+def test_labelling_serpentines_that_take_several_hook_rounds():
+    # Stroke i starts on row n - 1 - bitreverse(i): each hook round joins
+    # only neighbouring pairs of the path's pieces, so an n-stroke
+    # serpentine takes log2(n) + 1 rounds after round one.
+    for bits in range(1, 7):
+        n = 2**bits
+        tops = [n - 1 - int(format(i, f"0{bits}b")[::-1], 2) for i in range(n)]
+        for mask in (strokes_joined_at_the_bottom(tops),
+                     strokes_joined_at_the_bottom(tops[::-1])):
+            assert_runs_match_unionfind(mask)
+            assert len(connected_components(mask)) == 1
+
+
+def test_labelling_when_the_first_run_above_is_not_the_root():
+    # The bar on the last row hooks onto the left stroke in round one, but
+    # the component's root is the right stroke's top, which starts higher.
+    vee = np.zeros((6, 5), dtype=bool)
+    vee[2:, 0] = vee[:, 4] = vee[5] = True
+    assert_runs_match_unionfind(vee)
+    assert_runs_match_unionfind(vee[:, ::-1])
+    rng = np.random.default_rng(59)
+    for _ in range(40):
+        n = int(rng.integers(2, 24))
+        assert_runs_match_unionfind(strokes_joined_at_the_bottom(rng.permutation(n).tolist()))
+
+
 def uniform_frame(raw: int, shape=(6, 8)) -> DepthFrame:
     return DepthFrame(np.full(shape, raw, dtype=np.uint16))
 
