@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .segmentation import _label_runs
+from .segmentation import _link, _runs
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,8 @@ def detect_fingertips(
     finger with no usable sample gives no tip; the others keep their ranks.
     """
     remnant = hand & ~palm
-    roots, flat, (_, start, end, component) = _label_runs(remnant, 8)
+    run_y, start, end, flat = _runs(remnant)
+    roots, component = _link(run_y, start, end, remnant.shape[0], 8)
     length = end - start
     area = np.bincount(component, weights=length, minlength=len(roots))
     kept = np.flatnonzero(area >= max(4, round(0.05 * int(hand.sum()) / 5)))

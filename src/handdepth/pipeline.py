@@ -6,11 +6,14 @@ code is a slab code and the blob lies wholly in the band, otherwise the
 band labelled over the whole frame), hole filling, distance transform,
 palm center and inradius, opening with an inradius-scaled disk, the
 fingers and their minimum-depth tips from one labelling of the hand
-minus its opening, then identity labeling and tracking.  The distance transform runs before palm extraction so
-the opening radius r can scale with the measured inradius.  The opening
-keeps every pixel where that map exceeds r*r and is empty if there is
-none, so the map's argmax, the palm center, lies in every non-empty
-opening.
+minus its opening, then identity labeling and tracking.  A blob carries
+its runs from the labelling; the hole fill turns them into the filled
+hand's runs, and the distance transform's row pass reads those, so no
+stage before the finger split scans the hand's pixels for runs.  The
+distance transform runs before palm extraction so the opening radius r
+can scale with the measured inradius.  The opening keeps every pixel
+where that map exceeds r*r and is empty if there is none, so the map's
+argmax, the palm center, lies in every non-empty opening.
 """
 
 from __future__ import annotations
@@ -88,9 +91,8 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     """Palm center and fingertips of one segmented hand blob."""
     # The exact bbox: every per-hand stage treats pixels outside it as background.
     x0, y0 = blob.bbox[:2]
-    hand = fill_holes(blob.mask)
-
-    dist = distance_transform(hand)
+    dist = distance_transform(fill_holes(blob.runs, blob.mask.shape), blob.mask.shape)
+    hand = dist > 0  # the filled hand: distance_transform is 0 exactly off it
     palm = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))
     tips = detect_fingertips(hand, palm_mask, frame.samples[blob.box], config.calibration)

@@ -9,21 +9,23 @@ Band and slab thresholds are defined by a test on the calibration's
 cm_table.  Calibration is monotone, so the codes that pass form one
 interval of raw values, and the mask is one uint16 interval compare on
 the samples; a table whose codes are not contiguous falls back to a
-lookup.  Labelling takes all runs of a mask from its flat foreground
-indices (a run breaks at a jump or a row start), finds the runs that
-touch across rows by binary search, merges them by hook and compress
-(Shiloach & Vishkin, J. Algorithms 1982): each round, every root joined
-to another hooks onto the least root it touches and pointers jump to the
-roots, until no pair joins two roots.  Round one, from every run as its
-own root, is one call: each run hooks onto the first run above it that
-it touches, so a chain climbs one row per link and h.bit_length()
+lookup.  Labelling has two steps.  _runs takes all runs of a mask from
+its flat foreground indices (a run breaks at a jump or a row start).
+_link takes runs from anywhere, finds the runs that touch across rows
+by binary search and merges them by hook and compress (Shiloach &
+Vishkin, J. Algorithms 1982): each round, every root joined to another
+hooks onto the least root it touches and pointers jump to the roots,
+until no pair joins two roots.  Round one, from every run as its own
+root, is one call: each run hooks onto the first run above it that it
+touches, so a chain climbs one row per link and h.bit_length()
 unchecked jumps reach its root.  A hook only goes to a smaller run
 index, so a root is its component's first run in raster order, the
 components come out in the raster order of their first pixels, and a
 component's index is its root's rank (no sort).  Stats come from the
 same runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each
-component is its bbox and a boolean mask of the bbox's shape, painted
-from its own runs; no frame-sized label image is built.
+component is its bbox, a boolean mask of the bbox's shape painted from
+its own runs, and those runs moved to the bbox; no frame-sized label
+image is built.
 
 The whole frame is labelled once, for the slab.  segment_hand builds
 the band's table over raw codes and ends in one of two ways:
@@ -40,10 +42,17 @@ the band's table over raw codes and ends in one of two ways:
   slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm),
   or the seed carries no slab.
 
-fill_holes labels the hand crop's background runs with 4-connectivity,
-with no padding: pixels past the crop's border count as background, so
-a background component is outside when any of its runs touches the
-border, and every other component is a hole.
+fill_holes works on the hand's runs alone, never on its pixels (morphology
+on interval-coded images, Ji, Piper & Tang, Pattern Recognition Letters
+1989).  On the crop padded by one background pixel all round, the
+background runs are the gaps in each row's hand runs: before the first
+run, between runs and after the last, the whole row where it has none,
+and the two padding rows.  No gap is empty, and the padding rows and
+columns join every gap that reaches the crop's border into one
+4-connected component, the first in raster order.  _link labels the
+gaps 4-connected (the dual of 8-connected foreground), every other
+component is a hole, and a filled run runs from a hand run with the
+outside before it to the next hand run with the outside after it.
 """
 
 from __future__ import annotations
@@ -75,16 +84,18 @@ class HandSeed:
 
 @dataclass(eq=False)
 class Blob:
-    """One maximal connected foreground component: its area, bbox and mask.
+    """One maximal connected foreground component: its area, bbox, mask and runs.
 
     ``mask`` has the bbox's shape and marks the component's pixels in
-    it; ``box`` places it in the labelled array.  The blob holds no
-    frame-sized label image.
+    it; ``box`` places it in the labelled array.  ``runs`` lists the
+    same pixels as maximal [start, end) runs of the mask's rows in
+    raster order.  The blob holds no frame-sized label image.
     """
 
     area: int
     bbox: tuple[int, int, int, int]  # min_x, min_y, max_x, max_y (inclusive)
     mask: np.ndarray = field(repr=False)  # bool, (max_y - min_y + 1, max_x - min_x + 1)
+    runs: np.ndarray = field(repr=False)  # int64, (3, runs): row, start, end in the mask
 
     @property
     def box(self) -> tuple[slice, slice]:
@@ -107,12 +118,11 @@ class Blob:
         return self.bbox[0] + dx, self.bbox[1] + dy, vals[i].item()
 
 
-def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """First run of each component, flat foreground indices and ``(row, start, end, component)``.
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, start, end, flat)``: every maximal run of True and the flat foreground indices.
 
-    Every maximal run of True is a half-open [start, end) span, listed in
-    raster order (as are the flat indices) with its 0-based component index.
-    ``connectivity`` is 4 or 8.
+    A run is a half-open [start, end) span of one row; runs and flat
+    indices are listed in raster order.
     """
     mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
@@ -127,12 +137,25 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
     first, last = np.flatnonzero(new_run[:-1]), np.flatnonzero(new_run[1:])
     run_y, start = np.divmod(flat[first], w)
     end = flat[last] - run_y * w + 1
+    return run_y, start, end, flat
+
+
+def _link(
+    run_y: np.ndarray, start: np.ndarray, end: np.ndarray, h: int, connectivity: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(roots, component)``: the first run of each component and every run's component.
+
+    The runs are disjoint [start, end) spans of rows 0 .. h - 1, int64,
+    in raster order, none of them empty; ``connectivity`` is 4 or 8.
+    Components are numbered from 0 in the raster order of their first runs.
+    """
     # Run i of the row above touches run j when it ends at or past j's start
     # and starts at or before j's end (one pixel less on each side for
     # 4-connectivity), so the runs touching j are one index range [lo, hi).
-    # Rows sit w + 2 apart on the search keys, so no range crosses a row.
-    gap, row_key = int(connectivity == 4), run_y * (w + 2)
-    above = row_key - (w + 2)
+    # Rows sit 2**32 apart on the search keys, farther than any column, so
+    # no range crosses a row.
+    gap, row_key = int(connectivity == 4), run_y << 32
+    above = row_key - (1 << 32)
     lo = np.searchsorted(row_key + end, above + start + gap)
     hi = np.searchsorted(row_key + start, above + end - gap, side="right")
     count = np.maximum(hi - lo, 0)
@@ -163,8 +186,7 @@ def _label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.nda
             parent, jumped = jumped, jumped[jumped]
     # Roots are in raster order, so a component's index is its root's rank.
     is_root = parent == index
-    roots, component = np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
-    return roots, flat, (run_y, start, end, component)
+    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
 
 
 def connected_components(mask: np.ndarray) -> list[Blob]:
@@ -173,9 +195,12 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     The list is in the raster order of each component's first pixel.
     Stats come from the labelled runs, never from a rescan of the mask.
     Every blob's bbox mask is a view into one buffer that holds them all
-    back to back, painted in one scatter of the foreground pixels.
+    back to back, painted in one scatter of the foreground pixels; its
+    runs are a slice of one array that holds them all, sorted by blob.
     """
-    roots, flat, (run_y, start, end, component) = _label_runs(mask, 8)
+    run_y, start, end, flat = _runs(mask)
+    h, w = np.shape(mask)
+    roots, component = _link(run_y, start, end, h, 8)
     count, length = len(roots), end - start
 
     def extreme(reduce: np.ufunc, values: np.ndarray, init: int) -> np.ndarray:
@@ -183,7 +208,6 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
         reduce.at(out, component, values)
         return out
 
-    w = np.shape(mask)[1]
     # float64 sums of integers stay exact far beyond any frame's totals (2**53)
     area = np.bincount(component, weights=length, minlength=count).astype(np.int64).tolist()
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
@@ -196,11 +220,20 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     buf = np.zeros(int(off[-1]), dtype=bool)
     base = off[:-1] - min_y * box_w - min_x
     buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
-    stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off)))
+    # Blob c's runs are runs[:, run_off[c]:run_off[c + 1]], moved to its bbox;
+    # a stable sort by component keeps each blob's runs in raster order.
+    order = np.argsort(component, kind="stable")
+    runs = np.take(np.concatenate((run_y, start, end)).reshape(3, -1), order, axis=1)
+    per_blob = np.bincount(component, minlength=count)
+    runs -= np.repeat(np.array((min_y, min_x, min_x)), per_blob, axis=1)
+    run_off = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(per_blob, out=run_off[1:])
+    stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off, run_off)))
     return [
         Blob(a, (x0, y0, x1, y1),
-             buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1))
-        for a, x0, y0, x1, y1, o in stats
+             buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1),
+             runs[:, r:r1])
+        for (a, x0, y0, x1, y1, o, r), r1 in zip(stats, run_off[1:].tolist())
     ]
 
 
@@ -294,22 +327,49 @@ def segment_hand(
     return select_hand_blob(connected_components(_table_mask(in_band, frame.samples)), seed)
 
 
-def fill_holes(mask: np.ndarray) -> np.ndarray:
-    """Fill background pockets not connected to the frame border.
+def fill_holes(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """The runs of a mask with its holes filled, from the runs of the mask.
 
     Depth dropouts punch sentinel holes through segmented hands; left in
     place they would wreck the distance transform (a hole looks like
     background right next to the palm center).  Background is traced with
     4-connectivity, the proper dual of 8-connected foreground.
 
-    Pixels past the border count as background, so a background
-    component is outside exactly when one of its runs touches the border;
-    every other component is a hole.  The input is not written to.
+    ``runs`` is a (3, n) integer array of rows, starts and ends, as
+    Blob.runs holds it: maximal [start, end) runs of a ``shape`` mask
+    in raster order.  The result has the same form.  Pixels past the
+    border count as background, so a background component is outside
+    exactly when it reaches the border; every other component is a hole.
+    The input is not written to.
     """
-    filled = np.array(mask, dtype=bool)
-    h, w = filled.shape
-    roots, flat, (run_y, start, end, component) = _label_runs(~filled, 4)
-    outside = np.zeros(len(roots), dtype=bool)
-    outside[component[(run_y == 0) | (run_y == h - 1) | (start == 0) | (end == w)]] = True
-    filled.ravel()[flat[np.repeat(~outside[component], end - start)]] = True
+    h, w = shape
+    run_y, end = runs[0], runs[2]
+    # The background runs of the mask padded by one background pixel all
+    # round (module docstring), by slot: row 0, then for each row the gap
+    # before each of its runs and the gap after its last run (the whole
+    # row when it has none), then row h + 1.  The gap before run i is slot
+    # 1 + i + run_y[i]; the last gap of row y is slot 1 + y plus the count
+    # of runs in rows up to y.  No slot is empty.
+    rows = np.arange(1, h + 1)
+    before = np.arange(1, run_y.size + 1) + run_y
+    gap_y = np.empty(run_y.size + h + 2, dtype=np.int64)
+    gap_y[0], gap_y[-1] = 0, h + 1
+    gap_y[before] = run_y + 1
+    gap_y[np.searchsorted(run_y, rows) + rows] = rows
+    # bounds[2m], bounds[2m + 1] are slot m's start and end.  When slot m is
+    # the gap before run i, it ends where run i starts and slot m + 1 starts
+    # where run i ends (1 px on, for the padding); every other slot ends its
+    # row at w + 2, and the next slot starts the next row at 0.
+    bounds = np.empty(2 * gap_y.size, dtype=np.int64)
+    bounds[0], bounds[-1] = 0, w + 2
+    pairs = bounds[1:-1].reshape(-1, 2)
+    pairs[:] = (w + 2, 0)
+    pairs[before] = runs[1:].T + 1
+    _, component = _link(gap_y, bounds[0::2], bounds[1::2], h + 2, 4)
+    # The padding holds the first run, so the outside is component 0.  A
+    # filled run starts at a run with the outside before it and ends at a
+    # run with the outside after it.
+    outside = component == 0
+    filled = runs[:, outside[before]]
+    filled[2] = end[outside[1:][before]]
     return filled

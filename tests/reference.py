@@ -169,6 +169,44 @@ def sq_edt_two_updates(target: np.ndarray) -> np.ndarray:
     return out.astype(np.int64, copy=False)
 
 
+def row_distances(target: np.ndarray) -> np.ndarray:
+    """Distance along its row from each pixel to the nearest True pixel, h + w + 1 in a row with none.
+
+    The row pass sq_edt took from a target mask before distance_transform
+    read it from the hand's runs, kept as its oracle: a running maximum of
+    target columns from the left and a running minimum from the right.
+    """
+    h, w = target.shape
+    far = h + w + 1
+    cols = np.arange(w, dtype=np.int64)
+    left = np.maximum.accumulate(np.where(target, cols, -far), axis=1)
+    right = np.minimum.accumulate(np.where(target, cols, w + far)[:, ::-1], axis=1)[:, ::-1]
+    return np.minimum(np.minimum(cols - left, right - cols), far)
+
+
+def offset_pass_every_k(row: np.ndarray) -> np.ndarray:
+    """The offset pass as it was with its stop checked before every offset, kept as its oracle.
+
+    Takes the row distances and returns the squared distances, in int64.
+    """
+    h, w = row.shape
+    top = int(row.max()) ** 2
+    dtype = next(t for t in (np.uint16, np.int32, np.int64) if top <= np.iinfo(t).max // 2)
+    last = min(h - 1, math.isqrt(top))
+    gp = np.full((h + 2 * last, w), np.iinfo(dtype).max // 2, dtype=dtype)
+    g = gp[last:last + h]
+    np.multiply(row, row, out=g, casting="unsafe")
+    out = g.copy()
+    tmp = np.empty_like(out)
+    for k in range(1, last + 1):
+        if k * k >= out.max():
+            break
+        np.minimum(gp[last - k:last - k + h], gp[last + k:last + k + h], out=tmp)
+        tmp += k * k
+        np.minimum(out, tmp, out=out)
+    return out.astype(np.int64, copy=False)
+
+
 def shift(mask: np.ndarray, dx: int, dy: int) -> np.ndarray:
     """out[y, x] = mask[y + dy, x + dx], False past the border."""
     h, w = mask.shape
@@ -211,32 +249,43 @@ def opening_setdef(mask: np.ndarray, radius: int) -> np.ndarray:
     return dilate_setdef(erode_setdef(mask, radius), radius)
 
 
-def flood_fill_components(mask: np.ndarray, connectivity: int = 8) -> list[frozenset]:
-    """BFS component extraction; returns pixel sets of (x, y) tuples."""
+STEPS = {
+    8: [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)],
+    4: [(0, -1), (-1, 0), (1, 0), (0, 1)],
+}
+
+
+def flood_from(mask: np.ndarray, x: int, y: int, connectivity: int = 8, seen=None) -> frozenset:
+    """BFS from one foreground pixel: the pixel set, of (x, y) tuples, of its component.
+
+    Pixels marked in ``seen`` are skipped, and every pixel reached is marked there.
+    """
     h, w = mask.shape
-    if connectivity == 8:
-        steps = [(-1, -1), (0, -1), (1, -1), (-1, 0), (1, 0), (-1, 1), (0, 1), (1, 1)]
-    else:
-        steps = [(0, -1), (-1, 0), (1, 0), (0, 1)]
+    if seen is None:
+        seen = np.zeros_like(mask)
+    queue = deque([(x, y)])
+    seen[y, x] = True
+    pixels = []
+    while queue:
+        cx, cy = queue.popleft()
+        pixels.append((cx, cy))
+        for dx, dy in STEPS[connectivity]:
+            nx, ny = cx + dx, cy + dy
+            if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
+                seen[ny, nx] = True
+                queue.append((nx, ny))
+    return frozenset(pixels)
+
+
+def flood_fill_components(mask: np.ndarray, connectivity: int = 8) -> list[frozenset]:
+    """BFS component extraction; returns pixel sets of (x, y) tuples.
+
+    Components come in the raster order of their first pixels.
+    """
     seen = np.zeros_like(mask)
-    comps = []
-    for y in range(h):
-        for x in range(w):
-            if not mask[y, x] or seen[y, x]:
-                continue
-            queue = deque([(x, y)])
-            seen[y, x] = True
-            pixels = []
-            while queue:
-                cx, cy = queue.popleft()
-                pixels.append((cx, cy))
-                for dx, dy in steps:
-                    nx, ny = cx + dx, cy + dy
-                    if 0 <= nx < w and 0 <= ny < h and mask[ny, nx] and not seen[ny, nx]:
-                        seen[ny, nx] = True
-                        queue.append((nx, ny))
-            comps.append(frozenset(pixels))
-    return comps
+    ys, xs = np.nonzero(mask)  # raster order
+    return [flood_from(mask, x, y, connectivity, seen)
+            for y, x in zip(ys.tolist(), xs.tolist()) if not seen[y, x]]
 
 
 def label_rowwise(mask: np.ndarray, connectivity: int = 8) -> tuple[np.ndarray, list[tuple]]:
@@ -384,6 +433,74 @@ def fingertips_from_blobs(hand, palm, samples, params):
         if lowest <= params.raw_valid_max:
             tips.append(Fingertip(x, y, raw_to_cm(lowest, params), index))
     return tips
+
+
+def _raster_first_min(pixels, values: np.ndarray) -> tuple[int, int, int]:
+    """``(value, y, x)`` of the least of ``values`` over ``pixels``, ties to the smallest y, then x."""
+    return min((int(values[y, x]), y, x) for x, y in pixels)
+
+
+def extract_hands_oracle(frame, config) -> list[tuple]:
+    """extract_hands from first principles, kept as its end-to-end oracle.
+
+    Per hand, in extract_hands' order: ``(palm, tips, bbox, area)``, in
+    frame coordinates.  Built from BFS components (the slab, the seed's
+    band component and the fingers), a hole fill by flood-filling the
+    padded background, the lower-envelope EDT of the padded hole-filled
+    hand, the set-definition opening and raster-first minima; it calls
+    none of the library's labelling, hole fill, distance or opening code.
+    A hand whose stage fails is dropped, as extract_hands drops it.
+    """
+    params, samples = config.calibration, frame.samples
+    depth_cm = params.cm_table[samples]  # NaN where the sample is no measurement
+    near_raw = int(samples.min())
+    if near_raw > params.raw_valid_max:
+        return []
+    slab = depth_cm <= raw_to_cm(near_raw, params) + config.slab_cm
+    blobs = [c for c in flood_fill_components(slab) if len(c) >= config.min_area]
+    blobs.sort(key=len, reverse=True)  # stable: ties stay in raster order
+    hands, taken = [], []
+    for blob in blobs[:config.max_hands]:
+        raw, sy, sx = _raster_first_min(blob, samples)
+        if any((sx, sy) in pixels for pixels in taken):
+            continue  # the seed lies on a hand already reported
+        band = np.abs(depth_cm - raw_to_cm(raw, params)) <= config.band_cm
+        pixels = flood_from(band, sx, sy)
+        xs, ys = [x for x, _ in pixels], [y for _, y in pixels]
+        x0, y0, x1, y1 = min(xs), min(ys), max(xs), max(ys)
+        crop = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=bool)
+        crop[np.array(ys) - y0, np.array(xs) - x0] = True
+        # holes: the background not 4-connected to a padding ring
+        padded = np.pad(crop, 1)
+        hand = ~placed_set(flood_from(~padded, 0, 0, 4), padded.shape)[1:-1, 1:-1]
+        dist = sq_edt_envelope(~np.pad(hand, 1))[1:-1, 1:-1]
+        best = int(dist.max())
+        if best <= 1:
+            continue  # degenerate: no palm body
+        py, px = divmod(int(np.argmax(dist)), dist.shape[1])
+        palm = opening_setdef(hand, max(1, round(0.7 * math.sqrt(best))))
+        if not palm.any():
+            continue  # the opening left no palm
+        floor = max(4, round(0.05 * int(hand.sum()) / 5))
+        fingers = [f for f in flood_fill_components(hand & ~palm) if len(f) >= floor]
+        fingers.sort(key=len, reverse=True)
+        tips = []
+        for rank, finger in enumerate(fingers[:5]):
+            lowest, ty, tx = _raster_first_min(finger, samples[y0:y1 + 1, x0:x1 + 1])
+            if lowest <= params.raw_valid_max:
+                tips.append(Fingertip(tx + x0, ty + y0, raw_to_cm(lowest, params), rank))
+        taken.append(pixels)
+        hands.append((PalmCenter(px + x0, py + y0, math.sqrt(best)), tips,
+                      (x0, y0, x1, y1), len(pixels)))
+    return hands
+
+
+def placed_set(pixels, shape: tuple[int, int]) -> np.ndarray:
+    """A set of (x, y) pixels as a boolean array of ``shape``."""
+    out = np.zeros(shape, dtype=bool)
+    for x, y in pixels:
+        out[y, x] = True
+    return out
 
 
 def hand_blob_whole_frame(frame, seed, band_cm, params):

@@ -12,7 +12,6 @@ import pytest
 
 from handdepth.benchmark import score_scene
 from handdepth.calibration import cm_to_raw, raw_to_cm
-from handdepth.distance import distance_transform, sq_edt
 from handdepth.errors import EmptyResultError
 from handdepth.frame_io import DepthFrame, read_pgm, read_raw, write_pgm, write_raw, write_report
 from handdepth.morphology import extract_palm
@@ -29,6 +28,7 @@ from reference import (
     random_mask,
     rotated_position,
 )
+from via_runs import distance_of, filled_mask, target_edt
 
 CONFIG = PipelineConfig()
 CORPUS_SEED = 12345
@@ -86,11 +86,9 @@ def test_criterion_2_palm_center_accuracy(corpus):
 def _palm_argmax_tie_set(blob, shape):
     """All frame pixels attaining the palm's distance maximum (the documented tie set)."""
     from handdepth.morphology import auto_radius, extract_palm
-    from handdepth.segmentation import fill_holes
     from handdepth.distance import find_palm_center
 
-    hand = fill_holes(placed(blob, shape))
-    dist = distance_transform(hand)
+    dist = distance_of(filled_mask(placed(blob, shape)))
     seed = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(seed.inradius_px))
     vals = np.where(palm_mask, dist, -1)
@@ -139,12 +137,12 @@ def test_criterion_3_orientation_invariance():
 def test_criterion_4_distance_transform_exactness():
     for bits in range(65536):
         mask = np.array([(bits >> i) & 1 for i in range(16)], dtype=bool).reshape(4, 4)
-        if not (distance_transform(mask) == edt_bruteforce(mask)).all():
+        if not (distance_of(mask) == edt_bruteforce(mask)).all():
             raise AssertionError(f"4x4 mask {bits:#06x} disagrees with brute force")
     rng = np.random.default_rng(4242)
     for _ in range(1000):
         mask = random_mask(rng, (32, 32))
-        assert (distance_transform(mask) == edt_bruteforce(mask)).all()
+        assert (distance_of(mask) == edt_bruteforce(mask)).all()
     print("PASS criterion 4: exact on all 65536 4x4 masks and 1000 random 32x32 masks")
 
 
@@ -155,13 +153,13 @@ def test_criterion_5_morphology_correctness():
         mask = random_mask(rng, (24, 24))
         radius = 1 + index % 3
         rr = radius * radius
-        dist = distance_transform(mask)
+        dist = distance_of(mask)
         eroded = dist > rr
-        dilated = sq_edt(mask) <= rr
+        dilated = target_edt(mask) <= rr
         assert (eroded == erode_setdef(mask, radius)).all()
         assert (dilated == dilate_setdef(mask, radius)).all()
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~(sq_edt(~padded) <= rr)
+        dual = ~(target_edt(~padded) <= rr)
         assert (eroded == dual[radius:-radius, radius:-radius]).all()  # duality
         if not eroded.any():
             with pytest.raises(EmptyResultError):
@@ -171,7 +169,7 @@ def test_criterion_5_morphology_correctness():
         opened = extract_palm(dist, radius)
         assert (opened == opening_setdef(mask, radius)).all()
         assert not (opened & ~mask).any()  # anti-extensive
-        assert (extract_palm(distance_transform(opened), radius) == opened).all()  # idempotent
+        assert (extract_palm(distance_of(opened), radius) == opened).all()  # idempotent
     print(
         "PASS criterion 5: the erosion and dilation thresholds match the set-definition "
         "oracle on 1000 random 24x24 masks (radii 1-3); the palm opening matches it "

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from handdepth.distance import distance_transform, find_palm_center, sq_edt
+from handdepth.distance import _offset_pass, distance_transform, find_palm_center
 from handdepth.errors import DegenerateHandError
 
 from reference import (
@@ -10,20 +10,25 @@ from reference import (
     edge_masks,
     edt_bruteforce,
     masks,
+    offset_pass_every_k,
     palm_center_masked,
     random_mask,
+    row_distances,
     sq_edt_bruteforce,
     sq_edt_envelope,
     sq_edt_two_updates,
 )
+from via_runs import distance_of, mask_runs, target_edt
 
 def assert_matches_oracles(mask):
-    got, want = sq_edt(mask), sq_edt_bruteforce(mask)
+    got, want = target_edt(mask), sq_edt_bruteforce(mask)
     assert got.dtype == np.int64
     assert (got == want).all()
     assert (got == sq_edt_envelope(mask)).all()
-    dist = distance_transform(mask)
+    dist = distance_of(mask)
+    assert dist.dtype == np.int64 and dist.shape == mask.shape
     assert (dist == edt_bruteforce(mask)).all()
+    assert (dist == sq_edt_bruteforce(~np.pad(mask, 1))[1:-1, 1:-1]).all()
     assert (dist == sq_edt_envelope(~np.pad(mask, 1))[1:-1, 1:-1]).all()
 
 
@@ -34,33 +39,33 @@ def all_masks_3x3():
 
 def test_all_background_is_zero():
     mask = np.zeros((5, 7), dtype=bool)
-    assert (distance_transform(mask) == 0).all()
+    assert (distance_of(mask) == 0).all()
 
 
 def test_single_pixel():
     mask = np.zeros((5, 5), dtype=bool)
     mask[2, 3] = True
-    dist = distance_transform(mask)
+    dist = distance_of(mask)
     assert dist[2, 3] == 1
     assert dist.sum() == 1
 
 
 def test_matches_bruteforce_exhaustive_3x3():
     for mask in all_masks_3x3():
-        assert (distance_transform(mask) == edt_bruteforce(mask)).all()
+        assert (distance_of(mask) == edt_bruteforce(mask)).all()
 
 
 def test_matches_bruteforce_random():
     rng = np.random.default_rng(101)
     for _ in range(200):
         mask = random_mask(rng, (16, 16))
-        assert (distance_transform(mask) == edt_bruteforce(mask)).all()
+        assert (distance_of(mask) == edt_bruteforce(mask)).all()
 
 
 def test_values_zero_on_background_positive_on_foreground():
     rng = np.random.default_rng(5)
     mask = random_mask(rng, (20, 20))
-    dist = distance_transform(mask)
+    dist = distance_of(mask)
     assert (dist[~mask] == 0).all()
     assert (dist[mask] >= 1).all()
 
@@ -68,7 +73,7 @@ def test_values_zero_on_background_positive_on_foreground():
 def test_one_lipschitz_in_plain_metric():
     rng = np.random.default_rng(9)
     mask = random_mask(rng, (24, 24))
-    d = np.sqrt(distance_transform(mask).astype(float))
+    d = np.sqrt(distance_of(mask).astype(float))
     assert (np.abs(np.diff(d, axis=0)) <= 1 + 1e-9).all()
     assert (np.abs(np.diff(d, axis=1)) <= 1 + 1e-9).all()
 
@@ -100,7 +105,7 @@ def test_distances_past_int32_range():
     target = np.zeros((50_000, 2), dtype=bool)
     target[0, 0] = True
     ys, xs = np.mgrid[0:50_000, 0:2]
-    got = sq_edt(target)
+    got = target_edt(target)
     assert got.dtype == np.int64
     assert (got == ys.astype(np.int64) ** 2 + xs**2).all()
 
@@ -109,7 +114,7 @@ def test_distances_past_int32_range_transposed():
     target = np.zeros((2, 50_000), dtype=bool)
     target[0, 0] = True
     ys, xs = np.mgrid[0:2, 0:50_000]
-    got = sq_edt(target)
+    got = target_edt(target)
     assert got.dtype == np.int64
     assert (got == ys**2 + xs.astype(np.int64) ** 2).all()
 
@@ -119,7 +124,7 @@ def test_distances_at_the_int32_edge():
     target = np.zeros((32_000, 2), dtype=bool)
     target[0, 0] = True
     ys, xs = np.mgrid[0:32_000, 0:2]
-    got = sq_edt(target)
+    got = target_edt(target)
     assert got.dtype == np.int64
     assert (got == ys.astype(np.int64) ** 2 + xs**2).all()
 
@@ -147,23 +152,52 @@ def dtype_edge_targets():
 
 @pytest.mark.parametrize("target", dtype_edge_targets())
 def test_offset_pass_dtype_edges_match_bruteforce(target):
-    assert (sq_edt(target) == sq_edt_bruteforce(target)).all()
+    assert (target_edt(target) == sq_edt_bruteforce(target)).all()
+
+
+def odd_stop_cases():
+    """Row distances of padded hands, as distance_transform has them, and of unpadded targets."""
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        mask = random_mask(rng, (int(rng.integers(1, 40)), int(rng.integers(1, 40))))
+        yield row_distances(~np.pad(mask, 1))
+        yield row_distances(mask)  # rows without a target hold h + w + 1
+    for target in dtype_edge_targets():
+        yield row_distances(target)
+
+
+def test_odd_offset_stop_matches_the_every_offset_loop():
+    for row in odd_stop_cases():
+        got = _offset_pass(row)
+        assert got.dtype == np.int64 and np.array_equal(got, offset_pass_every_k(row))
+
+
+def test_distance_transform_from_runs_matches_bruteforce_and_leaves_them_alone():
+    # the runs of a hand's Blob, a slice of the labelling's shared run array
+    rng = np.random.default_rng(72)
+    for _ in range(40):
+        mask = random_mask(rng, (int(rng.integers(1, 30)), int(rng.integers(1, 30))))
+        runs = mask_runs(mask)
+        before = runs.copy()
+        assert (distance_transform(runs, mask.shape) == edt_bruteforce(mask)).all()
+        assert np.array_equal(runs, before)
+    assert (distance_transform(np.zeros((3, 0), dtype=np.int64), (4, 5)) == 0).all()
 
 
 @deterministic
 @given(masks)
 def test_sq_edt_equals_the_two_update_pass_everywhere(mask):
-    assert (sq_edt(mask) == sq_edt_two_updates(mask)).all()
+    assert (target_edt(mask) == sq_edt_two_updates(mask)).all()
 
 
 @deterministic
 @given(masks)
 def test_sq_edt_commutes_with_transpose(mask):
-    assert (sq_edt(mask.T) == sq_edt(mask).T).all()
+    assert (target_edt(mask.T) == target_edt(mask).T).all()
 
 
 def test_sq_edt_empty_target_saturates():
-    out = sq_edt(np.zeros((4, 6), dtype=bool))
+    out = target_edt(np.zeros((4, 6), dtype=bool))
     assert (out > (4 - 1) ** 2 + (6 - 1) ** 2).all()
 
 
@@ -174,7 +208,7 @@ def test_translation_equivariance():
     b = np.zeros((30, 30), dtype=bool)
     a[4:12, 5:13] = blob
     b[9:17, 11:19] = blob
-    da, db = distance_transform(a), distance_transform(b)
+    da, db = distance_of(a), distance_of(b)
     assert (da[4:12, 5:13] == db[9:17, 11:19]).all()
     pa = find_palm_center(da)
     pb = find_palm_center(db)
@@ -186,13 +220,13 @@ def test_rotation_equivariance_of_transform():
     rng = np.random.default_rng(17)
     mask = random_mask(rng, (18, 25))
     rotated = np.rot90(mask).copy()
-    assert (distance_transform(rotated) == np.rot90(distance_transform(mask))).all()
+    assert (distance_of(rotated) == np.rot90(distance_of(mask))).all()
 
 
 def test_palm_center_of_centered_disk():
     ys, xs = np.ogrid[:32, :32]
     disk = (xs - 16) ** 2 + (ys - 16) ** 2 <= 100
-    center = find_palm_center(distance_transform(disk))
+    center = find_palm_center(distance_of(disk))
     assert (center.x, center.y) == (16, 16)
     assert center.inradius_px == pytest.approx(10.0, abs=0.8)
 
@@ -200,7 +234,7 @@ def test_palm_center_of_centered_disk():
 def test_palm_center_of_bar_tie_breaks_leftmost():
     bar = np.zeros((9, 50), dtype=bool)
     bar[3:6, 5:45] = True
-    center = find_palm_center(distance_transform(bar))
+    center = find_palm_center(distance_of(bar))
     assert (center.x, center.y) == (6, 4)
     assert center.inradius_px == 2.0
 
@@ -209,7 +243,7 @@ def test_degenerate_hand_rejected():
     line = np.zeros((9, 20), dtype=bool)
     line[4, 2:18] = True
     with pytest.raises(DegenerateHandError):
-        find_palm_center(distance_transform(line))
+        find_palm_center(distance_of(line))
 
 
 def test_far_background_does_not_move_center():
@@ -217,10 +251,10 @@ def test_far_background_does_not_move_center():
     ys, xs = np.ogrid[:40, :40]
     disk = (xs - 12) ** 2 + (ys - 12) ** 2 <= 64
     frame |= disk
-    base = find_palm_center(distance_transform(frame))
+    base = find_palm_center(distance_of(frame))
     toggled = frame.copy()
     toggled[35:38, 35:38] = True  # unrelated distant blob
-    moved = find_palm_center(distance_transform(toggled))
+    moved = find_palm_center(distance_of(toggled))
     assert (moved.x, moved.y, moved.inradius_px) == (base.x, base.y, base.inradius_px)
 
 
@@ -229,7 +263,7 @@ def palm_center_matches_masked_argmax(mask) -> bool:
 
     Returns whether the mask is degenerate (both raise DegenerateHandError).
     """
-    dist = distance_transform(mask)
+    dist = distance_of(mask)
     try:
         want = palm_center_masked(dist, mask)
     except DegenerateHandError:

@@ -5,13 +5,14 @@ import pytest
 
 from handdepth import pipeline
 from handdepth.calibration import DEFAULT_CALIBRATION, RAW_SENTINEL, raw_to_cm
-from handdepth.distance import distance_transform, find_palm_center
+from handdepth.distance import find_palm_center
 from handdepth.fingertips import detect_fingertips
 from handdepth.morphology import extract_palm
 from handdepth.pipeline import PipelineConfig, extract_hands
 from handdepth.synthetic import HandSpec, build_corpus, render_scene
 
 from reference import edge_masks, fingertips_from_blobs, random_mask
+from via_runs import distance_of
 
 
 def hand_of(shape, *fingers):
@@ -104,7 +105,7 @@ def test_synthetic_tips_found_exactly():
         tip_slope=1,
     )
     frame, (truth,) = render_scene([spec], (180, 180), 170)
-    dist = distance_transform(truth.support)
+    dist = distance_of(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     tips = detect_fingertips(truth.support, palm, frame.samples)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from handdepth import distance, morphology
-from handdepth.distance import distance_transform, find_palm_center, sq_edt
+from handdepth.distance import find_palm_center
 from handdepth.errors import DegenerateHandError, EmptyResultError
 from handdepth.fingertips import detect_fingertips
 from handdepth.morphology import auto_radius, extract_palm
@@ -19,6 +19,7 @@ from reference import (
     palm_center_masked,
     random_mask,
 )
+from via_runs import distance_of, target_edt
 
 
 def centered_disk(radius: int, size: int) -> np.ndarray:
@@ -30,8 +31,8 @@ def centered_disk(radius: int, size: int) -> np.ndarray:
 def test_radius_zero_is_identity():
     rng = np.random.default_rng(1)
     mask = random_mask(rng, (12, 12))
-    assert ((distance_transform(mask) > 0) == mask).all()
-    assert ((sq_edt(mask) <= 0) == mask).all()
+    assert ((distance_of(mask) > 0) == mask).all()
+    assert ((target_edt(mask) <= 0) == mask).all()
 
 
 def test_matches_set_definition_oracle():
@@ -40,15 +41,15 @@ def test_matches_set_definition_oracle():
         mask = random_mask(rng, (24, 24))
         for radius in (1, 2, 3):
             rr = radius * radius
-            assert ((distance_transform(mask) > rr) == erode_setdef(mask, radius)).all()
-            assert ((sq_edt(mask) <= rr) == dilate_setdef(mask, radius)).all()
+            assert ((distance_of(mask) > rr) == erode_setdef(mask, radius)).all()
+            assert ((target_edt(mask) <= rr) == dilate_setdef(mask, radius)).all()
 
 
 def test_opening_anti_extensive_and_idempotent():
     rng = np.random.default_rng(77)
     for _ in range(40):
         mask = random_mask(rng, (20, 20))
-        dist = distance_transform(mask)
+        dist = distance_of(mask)
         for radius in (1, 2, 3):
             if not (dist > radius * radius).any():
                 with pytest.raises(EmptyResultError):
@@ -56,7 +57,7 @@ def test_opening_anti_extensive_and_idempotent():
                 continue
             opened = extract_palm(dist, radius)
             assert not (opened & ~mask).any()  # opened is a subset of the input
-            assert (extract_palm(distance_transform(opened), radius) == opened).all()
+            assert (extract_palm(distance_of(opened), radius) == opened).all()
 
 
 def test_extract_palm_is_opening_of_the_mapped_mask():
@@ -65,7 +66,7 @@ def test_extract_palm_is_opening_of_the_mapped_mask():
         mask = random_mask(rng, (22, 26))
         if i % 2:  # blobby masks, so larger radii leave something behind
             mask = dilate_setdef(mask & (rng.random(mask.shape) < 0.1), 3)
-        dist = distance_transform(mask)
+        dist = distance_of(mask)
         for radius in (1, 2, 3, 4):
             opened = opening_setdef(mask, radius)
             if opened.any():
@@ -88,7 +89,7 @@ def assert_extract_palm_dilates_the_core(core: np.ndarray, radius: int, seed: in
     rr = radius * radius
     hand_dist = map_with_core(core, radius, seed)
     if core.any():
-        assert np.array_equal(extract_palm(hand_dist, radius), sq_edt(core) <= rr)
+        assert np.array_equal(extract_palm(hand_dist, radius), target_edt(core) <= rr)
     else:
         with pytest.raises(EmptyResultError):
             extract_palm(hand_dist, radius)
@@ -110,12 +111,13 @@ def test_extract_palm_dilates_cores_on_the_crop_edge():
 
 def test_extract_palm_dilates_once_within_the_grown_bbox(monkeypatch):
     # The dilation is painted from the core's runs: no distance transform.
-    assert not hasattr(morphology, "sq_edt")
+    assert not hasattr(morphology, "distance_transform") and not hasattr(morphology, "_offset_pass")
 
     def no_call(*args, **kwargs):
-        raise AssertionError("extract_palm called sq_edt")
+        raise AssertionError("extract_palm called the distance transform")
 
-    monkeypatch.setattr(distance, "sq_edt", no_call)
+    monkeypatch.setattr(distance, "distance_transform", no_call)
+    monkeypatch.setattr(distance, "_offset_pass", no_call)
     # a 4x5 core in a 100x84 crop, in its middle or on its edges and corners
     for y, x in [(40, 52), (0, 0), (96, 79), (0, 30), (50, 79)]:
         core = np.zeros((100, 84), dtype=bool)
@@ -132,7 +134,7 @@ def palm_centers_agree(mask: np.ndarray) -> int:
     finds the same pixel and inradius as the argmax over the whole hand,
     whenever the opening is non-empty.
     """
-    dist = distance_transform(mask)
+    dist = distance_of(mask)
     agreed = 0
     for factor in (0.1, 0.5, 0.7, 0.9, 0.99):
         try:
@@ -166,8 +168,8 @@ def test_duality_on_padded_domain():
         rr = radius * radius
         mask = random_mask(rng, (16, 16))
         padded = np.pad(mask, radius, constant_values=False)
-        dual = ~(sq_edt(~padded) <= rr)
-        assert ((distance_transform(mask) > rr) == dual[radius:-radius, radius:-radius]).all()
+        dual = ~(target_edt(~padded) <= rr)
+        assert ((distance_of(mask) > rr) == dual[radius:-radius, radius:-radius]).all()
 
 
 def test_opening_keeps_disk_body():
@@ -176,7 +178,7 @@ def test_opening_keeps_disk_body():
     # covered by any radius-10 disk that stays inside.  The set-definition
     # oracle agrees, and the body of the disk survives untouched.
     disk = centered_disk(20, 61)
-    opened = extract_palm(distance_transform(disk), 10)
+    opened = extract_palm(distance_of(disk), 10)
     oracle = opening_setdef(disk, 10)
     assert (opened == oracle).all()
     assert not (opened & ~disk).any()
@@ -197,7 +199,7 @@ def test_extract_palm_on_synthetic_hand():
         tip_slope=2,
     )
     _, (truth,) = render_scene([spec], (200, 200), 160)
-    dist = distance_transform(truth.support)
+    dist = distance_of(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     cx, cy = truth.palm_center
@@ -206,7 +208,7 @@ def test_extract_palm_on_synthetic_hand():
 
 
 def test_extract_palm_empty_when_radius_too_large():
-    dist = distance_transform(centered_disk(6, 31))
+    dist = distance_of(centered_disk(6, 31))
     with pytest.raises(EmptyResultError):
         extract_palm(dist, 9)
     with pytest.raises(ValueError):
@@ -246,7 +248,7 @@ def make_hand_and_palm(finger_count, orientation):
         tip_slope=2,
     )
     frame, (truth,) = render_scene([spec], (200, 200), 160)
-    dist = distance_transform(truth.support)
+    dist = distance_of(truth.support)
     center = find_palm_center(dist)
     palm = extract_palm(dist, round(0.7 * center.inradius_px))
     return frame, truth, palm

@@ -21,7 +21,7 @@ from handdepth.pipeline import (
     run_pipeline,
 )
 from handdepth.segmentation import connected_components
-from handdepth.synthetic import HandSpec, build_corpus, render_scene
+from handdepth.synthetic import HandSpec, build_corpus, random_hand_spec, render_scene
 from handdepth.tracking import HandId, PINK, WHITE
 
 from reference import (
@@ -29,6 +29,7 @@ from reference import (
     deterministic,
     expected_path,
     any_float,
+    extract_hands_oracle,
     hand_blob_whole_frame,
     json_junk,
     segment_hand_path,
@@ -391,23 +392,75 @@ def test_slab_window_matches_whole_frame_band_on_two_hand_frames(case):
     ]
 
 
+def assert_matches_oracle_detector(frame, config):
+    got = [(palm, tips, blob.bbox, blob.area) for palm, tips, blob in extract_hands(frame, config)]
+    assert got == extract_hands_oracle(frame, config)
+    return len(got)
+
+
+def vga_two_hand_frames(n, seed):
+    """Two random hands at 640x480, one in the upper and one in the lower half, with dropouts."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n):
+        depth = rng.uniform(60, 120)
+        specs = [random_hand_spec(rng, (640, 480), depth + rng.uniform(0, 4), box)
+                 for box in ((0, 0, 639, 150), (0, 330, 639, 479))]
+        frames.append(render_scene(specs, (640, 480), depth + 70, noise_seed=int(rng.integers(2**32)),
+                                   dropout_rate=0.02)[0])
+    return frames
+
+
+def test_extract_hands_matches_the_oracle_detector_on_corpus_and_two_hand_frames():
+    frames = [scene.render()[0] for scene in build_corpus(20, seed=1601)] + vga_two_hand_frames(6, 1602)
+    assert sum(assert_matches_oracle_detector(frame, CFG) for frame in frames) >= 30
+
+
+@pytest.mark.parametrize("slab_cm", [20.0, 12.0])
+@pytest.mark.parametrize("case", SPECK_CASES)
+def test_extract_hands_matches_the_oracle_detector_on_speck_cases(case, slab_cm):
+    assert_matches_oracle_detector(two_hand_frame(*case), PipelineConfig(slab_cm=slab_cm))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(
+    st.builds(two_hand_frame, st.integers(0, 2**32 - 1), st.floats(-4, 15),
+              st.sampled_from([0.0, 0.02])),
+    st.builds(PipelineConfig, band_cm=st.floats(2, 30), slab_cm=st.floats(4, 40),
+              min_area=st.integers(1, 600), max_hands=st.integers(1, 2)),
+)
+def test_extract_hands_matches_the_oracle_detector_on_drawn_scenes(frame, config):
+    assert_matches_oracle_detector(frame, config)
+
+
 def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
-    # No band labelling: every seed's slab blob is its band blob here.
-    calls, label_runs = [], segmentation._label_runs
+    # No band labelling: every seed's slab blob is its band blob here.  The
+    # hole fill links the gaps in the blob's own runs: no _runs of its own.
+    calls, runs, link = [], segmentation._runs, segmentation._link
 
-    def recording(mask, connectivity):
-        calls.append((np.shape(mask), connectivity))
-        return label_runs(mask, connectivity)
+    def recording_runs(mask):
+        calls.append(("runs", np.shape(mask)))
+        return runs(mask)
 
-    monkeypatch.setattr(fingertips, "_label_runs", recording)
-    monkeypatch.setattr(segmentation, "_label_runs", recording)
+    def recording_link(run_y, start, end, h, connectivity):
+        calls.append(("link", h, connectivity))
+        return link(run_y, start, end, h, connectivity)
+
+    for module in (fingertips, segmentation):
+        monkeypatch.setattr(module, "_runs", recording_runs)
+        monkeypatch.setattr(module, "_link", recording_link)
     for frame in corpus_frames(4):
         calls.clear()
         hands = extract_hands(frame, CFG)
         assert hands
-        # one slab labelling per frame; per hand one hole fill and one finger split
-        assert calls == [(frame.samples.shape, 8)] + [
-            call for _, _, blob in hands for call in ((blob.mask.shape, 4), (blob.mask.shape, 8))
+        # one slab labelling per frame; per hand the hole fill links the
+        # padded crop's background 4-connected, then one finger split
+        h = frame.samples.shape[0]
+        assert calls == [("runs", frame.samples.shape), ("link", h, 8)] + [
+            call
+            for _, _, blob in hands
+            for call in (("link", blob.mask.shape[0] + 2, 4),
+                         ("runs", blob.mask.shape), ("link", blob.mask.shape[0], 8))
         ]
 
 

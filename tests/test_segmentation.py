@@ -15,7 +15,8 @@ from handdepth.calibration import (
 from handdepth.segmentation import (
     HandSeed,
     _band_table,
-    _label_runs,
+    _link,
+    _runs,
     _table_mask,
     connected_components,
     fill_holes,
@@ -43,6 +44,7 @@ from reference import (
     random_mask,
     segment_hand_path,
 )
+from via_runs import filled_mask, label_runs, mask_runs, paint
 
 
 def pixel_set(blob, shape):
@@ -55,8 +57,8 @@ def as_sets(blobs, shape):
 
 
 def run_sets(mask, connectivity):
-    """The pixel sets of _label_runs' components, as as_sets gives them."""
-    roots, _, (run_y, start, end, component) = _label_runs(mask, connectivity)
+    """The pixel sets of the components _runs and _link find, as as_sets gives them."""
+    roots, _, (run_y, start, end, component) = label_runs(mask, connectivity)
     sets = [set() for _ in roots]
     for y, x0, x1, c in zip(run_y.tolist(), start.tolist(), end.tolist(), component):
         sets[c].update((x, y) for x in range(x0, x1))
@@ -136,7 +138,7 @@ def labelling_cases():
 def assert_labelling_matches_oracles(mask):
     rowwise = {conn: label_rowwise(mask, conn) for conn in (8, 4)}
     for conn, (ref_labels, _) in rowwise.items():
-        roots, flat, runs = _label_runs(mask, conn)
+        roots, flat, runs = label_runs(mask, conn)
         ref_roots, ref_flat, ref_runs = label_runs_unionfind(mask, conn)
         for a, b in zip((roots, flat, *runs), (ref_roots, ref_flat, *ref_runs), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -152,6 +154,8 @@ def assert_labelling_matches_oracles(mask):
     # blob i, laid at its bbox, is exactly the pixels of row-wise label i + 1
     assert all(np.array_equal(placed(b, mask.shape), ref_labels == lab)
                for lab, b in enumerate(blobs, start=1))
+    # and its runs are its mask's runs
+    assert all(b.runs.dtype == np.int64 and np.array_equal(b.runs, mask_runs(b.mask)) for b in blobs)
     # flood fill finds components in raster order of their first pixel
     assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask)
 
@@ -204,9 +208,30 @@ def test_labelling_random_masks_match_oracles(mask):
     assert_labelling_matches_oracles(mask)
 
 
+def link_cases():
+    rng = np.random.default_rng(62)
+    yield from edge_masks()
+    yield from long_path_masks()
+    for _ in range(150):
+        yield random_mask(rng, (int(rng.integers(1, 30)), int(rng.integers(1, 30))))
+
+
+def test_link_matches_unionfind_and_flood_fill():
+    for mask in link_cases():
+        run_y, start, end, flat = _runs(mask)
+        for conn in (8, 4):
+            roots, component = _link(run_y, start, end, mask.shape[0], conn)
+            ref_roots, _, (*_, ref_component) = label_runs_unionfind(mask, conn)
+            assert np.array_equal(roots, ref_roots) and np.array_equal(component, ref_component)
+            sets = [set() for _ in roots]
+            for y, x0, x1, c in zip(run_y.tolist(), start.tolist(), end.tolist(), component):
+                sets[c].update((x, y) for x in range(x0, x1))
+            assert sets == flood_fill_components(mask, conn)  # in raster order of first pixels
+
+
 def assert_runs_match_unionfind(mask):
     for conn in (8, 4):
-        got, want = _label_runs(mask, conn), label_runs_unionfind(mask, conn)
+        got, want = label_runs(mask, conn), label_runs_unionfind(mask, conn)
         for a, b in zip((got[0], got[1], *got[2]), (want[0], want[1], *want[2]), strict=True):
             assert a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -245,7 +270,7 @@ def test_labelling_diagonal_staircases():
         for stairs in (np.eye(n, dtype=bool), np.eye(n, dtype=bool)[:, ::-1]):
             assert_runs_match_unionfind(stairs)
             assert len(connected_components(stairs)) == 1  # 8-connected: one chain
-            assert _label_runs(stairs, 4)[0].size == n  # 4-connected: n pixels apart
+            assert label_runs(stairs, 4)[0].size == n  # 4-connected: n pixels apart
         wide = np.zeros((n, n + 1), dtype=bool)  # 2-px steps touch 4-connected too
         wide[np.arange(n), np.arange(n)] = wide[np.arange(n), np.arange(1, n + 1)] = True
         assert_runs_match_unionfind(wide)
@@ -588,11 +613,11 @@ def test_fill_holes():
     holed = disk.copy()
     holed[15, 15] = False
     holed[12, 17] = False
-    assert (fill_holes(holed) == disk).all()
+    assert (filled_mask(holed) == disk).all()
     # a bay connected to the border must stay open
     bay = disk.copy()
     bay[0:16, 15] = False
-    assert (fill_holes(bay) == bay).all()
+    assert (filled_mask(bay) == bay).all()
 
 
 def fill_holes_oracle(mask):
@@ -606,12 +631,15 @@ def fill_holes_oracle(mask):
 
 
 def assert_fill_matches_oracles(mask):
-    before = mask.copy()
-    got = fill_holes(mask)
-    assert np.array_equal(mask, before)  # the input is not written to
-    assert got.dtype == bool and got.shape == mask.shape
-    assert np.array_equal(got, fill_holes_oracle(mask))
-    assert np.array_equal(got, fill_holes_padded(mask))
+    runs = mask_runs(mask)
+    before = runs.copy()
+    got = fill_holes(runs, mask.shape)
+    assert np.array_equal(runs, before)  # the input is not written to
+    assert got.dtype == np.int64 and got.shape[0] == 3
+    want = fill_holes_padded(mask)
+    assert np.array_equal(paint(got, mask.shape), fill_holes_oracle(mask))
+    assert np.array_equal(paint(got, mask.shape), want)
+    assert np.array_equal(got, mask_runs(want))  # maximal runs, in raster order
 
 
 def test_fill_holes_edge_masks_match_oracle():
@@ -627,7 +655,7 @@ def test_fill_holes_border_contact_cases():
     corner[[0, 1, 4, 3], [0, 1, 5, 4]] = False
     filled = np.ones_like(corner)
     filled[[0, 4], [0, 5]] = False
-    assert np.array_equal(fill_holes(corner), filled)
+    assert np.array_equal(filled_mask(corner), filled)
     # a bay reaching only the last column, or only the last row, stays open
     last_col = np.ones((5, 6), dtype=bool)
     last_col[2, 2:] = False
@@ -637,8 +665,45 @@ def test_fill_holes_border_contact_cases():
     lines = [rng.random((1, 23)) < 0.5, rng.random((23, 1)) < 0.5]
     flat = [np.ones((4, 7), dtype=bool), np.zeros((4, 7), dtype=bool)]
     for mask in [last_col, last_row, *lines, *flat]:
-        assert np.array_equal(fill_holes(mask), mask)
+        assert np.array_equal(filled_mask(mask), mask)
     for mask in [corner, last_col, last_row, *lines, *flat]:
+        assert_fill_matches_oracles(mask)
+
+
+def fill_from_runs_cases():
+    """Masks with empty rows, holes that touch only diagonally, and rings inside rings."""
+    rng = np.random.default_rng(61)
+    for _ in range(60):
+        mask = random_mask(rng, (int(rng.integers(2, 24)), int(rng.integers(2, 24))))
+        mask[rng.random(mask.shape[0]) < 0.3] = False  # empty rows, first and last too
+        yield mask
+    # a hole whose only background neighbour is diagonal, at every corner of a hole
+    for dy, dx in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+        mask = np.ones((7, 7), dtype=bool)
+        mask[3, 3] = mask[3 + dy, 3 + dx] = False  # diagonal pair: two 4-separate holes
+        yield mask
+        # an inner pixel that meets the border background only across a corner
+        corner = np.ones((4, 4), dtype=bool)
+        corner[1 + (dy > 0), 1 + (dx > 0)] = corner[3 * (dy > 0), 3 * (dx > 0)] = False
+        yield corner
+    # nested square rings, with and without a gap cut through each
+    for size in (5, 9, 13, 21):
+        rings = np.zeros((size, size), dtype=bool)
+        for k in range(0, size // 2 + 1, 2):
+            rings[k:size - k, k:size - k] = True
+            rings[k + 1:size - k - 1, k + 1:size - k - 1] = False
+        yield rings
+        yield ~rings
+        cut = rings.copy()
+        cut[size // 2, : size // 2] = False
+        yield cut
+    yield np.zeros((5, 4), dtype=bool)  # every row empty
+    for shape in ((0, 0), (0, 4), (4, 0)):
+        yield np.zeros(shape, dtype=bool)
+
+
+def test_fill_holes_from_runs_on_empty_rows_diagonal_holes_and_rings():
+    for mask in fill_from_runs_cases():
         assert_fill_matches_oracles(mask)
 
 
@@ -647,11 +712,13 @@ def test_fill_holes_leaves_the_shared_blob_buffer_alone():
     mask[1:5, 1:5] = mask[1:5, 7:11] = True
     mask[2, 2] = mask[3, 9] = False  # one hole in each blob
     blobs = connected_components(mask)
-    before = [b.mask.copy() for b in blobs]
+    before = [(b.mask.copy(), b.runs.copy()) for b in blobs]
     assert blobs[0].mask.base is blobs[1].mask.base  # both views into one buffer
+    assert blobs[0].runs.base is blobs[1].runs.base  # and one run array
     for blob in blobs:
-        assert fill_holes(blob.mask).all()
-    assert all(np.array_equal(b.mask, m) for b, m in zip(blobs, before))
+        assert paint(fill_holes(blob.runs, blob.mask.shape), blob.mask.shape).all()
+    assert all(np.array_equal(b.mask, m) and np.array_equal(b.runs, r)
+               for b, (m, r) in zip(blobs, before))
 
 
 def test_extract_hands_leaves_the_returned_slab_blobs_alone(monkeypatch):
@@ -660,12 +727,13 @@ def test_extract_hands_leaves_the_returned_slab_blobs_alone(monkeypatch):
     for scene in build_corpus(4, seed=3):
         frame, _ = scene.render()
         seeds = find_hand_seeds(frame, config.max_hands, config.min_area, config.slab_cm)
-        before = [seed.slab[0].mask.copy() for seed in seeds]
-        assert not all(np.array_equal(fill_holes(m), m) for m in before)
+        before = [(seed.slab[0].mask.copy(), seed.slab[0].runs.copy()) for seed in seeds]
+        assert not all(np.array_equal(filled_mask(m), m) for m, _ in before)
         monkeypatch.setattr(pipeline, "find_hand_seeds", lambda *args: seeds)
         hands = extract_hands(frame, config)
         assert [blob for _, _, blob in hands] == [seed.slab[0] for seed in seeds]
-        assert all(np.array_equal(s.slab[0].mask, m) for s, m in zip(seeds, before))
+        assert all(np.array_equal(s.slab[0].mask, m) and np.array_equal(s.slab[0].runs, r)
+                   for s, (m, r) in zip(seeds, before))
 
 
 @deterministic

@@ -18,7 +18,8 @@ from reference import ListTrackState, deterministic, update_three_rules
 
 
 def obs(x, y, area=500):
-    blob = Blob(area=area, bbox=(0, 0, 0, 0), mask=np.ones((1, 1), dtype=bool))
+    blob = Blob(area=area, bbox=(0, 0, 0, 0), mask=np.ones((1, 1), dtype=bool),
+                runs=np.array([[0], [0], [1]]))
     return PalmCenter(x=x, y=y, inradius_px=10.0), [], blob
 
 
