@@ -45,6 +45,10 @@ class PalmCenter:
     inradius_px: float
 
 
+# The offset pass's dtypes, narrowest first, each with its pad: half its max.
+_PADS = tuple((t, np.iinfo(t).max // 2) for t in (np.uint16, np.int32, np.int64))
+
+
 def _offset_pass(row: np.ndarray) -> np.ndarray:
     """Exact squared distance to the nearest target, from each pixel's row distance.
 
@@ -60,9 +64,9 @@ def _offset_pass(row: np.ndarray) -> np.ndarray:
     """
     h, w = row.shape
     top = int(row.max()) ** 2  # g.max()
-    dtype = next(t for t in (np.uint16, np.int32, np.int64) if top <= np.iinfo(t).max // 2)
+    dtype, pad = next(t for t in _PADS if top <= t[1])
     last = min(h - 1, math.isqrt(top))
-    gp = np.full((h + 2 * last, w), np.iinfo(dtype).max // 2, dtype=dtype)
+    gp = np.full((h + 2 * last, w), pad, dtype=dtype)
     g = gp[last:last + h]
     np.multiply(row, row, out=g, casting="unsafe")  # exact: row * row <= top <= the pad
     out = g.copy()
@@ -93,8 +97,8 @@ def distance_transform(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     # With the runs' pixels numbered 0, 1, ... in raster order, pixel t
     # lies d = t - first pixels into its run, at flat index pos + d of the
     # padded crop; rep holds first, pos and the length per pixel.
-    first = np.cumsum(length) - length
-    rep = np.repeat(np.stack((first, (run_y + 1) * (w + 2) + start + 1, length)), length, axis=1)
+    first = length.cumsum() - length
+    rep = np.array((first, (run_y + 1) * (w + 2) + start + 1, length)).repeat(length, axis=1)
     d = np.arange(rep.shape[1]) - rep[0]
     row = np.zeros((h + 2, w + 2), dtype=np.int64)
     row.ravel()[d + rep[1]] = np.minimum(d + 1, rep[2] - d)
@@ -109,7 +113,7 @@ def find_palm_center(dist: np.ndarray) -> PalmCenter:
     hand.  Raises DegenerateHandError when the hand is nowhere farther
     than one pixel from background (no palm body to speak of).
     """
-    flat = int(np.argmax(dist))  # first max in row-major order: min y, then min x
+    flat = int(dist.argmax())  # first max in row-major order: min y, then min x
     y, x = divmod(flat, dist.shape[1])
     best = int(dist[y, x])
     if best <= 1:

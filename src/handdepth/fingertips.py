@@ -44,17 +44,22 @@ def detect_fingertips(
     finger with no usable sample gives no tip; the others keep their ranks.
     """
     remnant = hand & ~palm
-    run_y, start, end, flat = _runs(remnant)
-    roots, component = _link(run_y, start, end, remnant.shape[0], 8)
+    h, w = remnant.shape
+    run_y, start, end = _runs(remnant)
+    roots, component = _link(run_y, start, end, h, 8)
     length = end - start
     area = np.bincount(component, weights=length, minlength=len(roots))
-    kept = np.flatnonzero(area >= max(4, round(0.05 * int(hand.sum()) / 5)))
-    kept = kept[np.argsort(-area[kept], kind="stable")[:5]]  # stable: ties stay in raster order
+    kept = (area >= max(4, round(0.05 * int(hand.sum()) / 5))).nonzero()[0]
+    kept = kept[(-area[kept]).argsort(kind="stable")[:5]]  # stable: ties stay in raster order
     # The least key raw * size + flat index is the least raw, ties to the
-    # first pixel in raster order.
+    # first pixel in raster order.  With the runs' pixels numbered 0, 1, ...
+    # in raster order, the last pixel of each run is its length's prefix
+    # sum less 1, at flat index y * w + end - 1.
     size = remnant.size
-    key = np.full(len(roots), np.iinfo(np.int64).max)
-    np.minimum.at(key, np.repeat(component, length), samples[remnant].astype(np.int64) * size + flat)
+    shift = (run_y * w + end - length.cumsum()).repeat(length)
+    key = np.full(len(roots), 2**63 - 1)  # int64 max
+    np.minimum.at(key, component.repeat(length),
+                  samples[remnant].astype(np.int64) * size + np.arange(shift.size) + shift)
     tips = []
     for rank, lowest in enumerate(key[kept].tolist()):
         raw, index = divmod(lowest, size)
@@ -62,6 +67,6 @@ def detect_fingertips(
         # raw minimum is usable whenever any sample of the finger is.
         if raw > params.raw_valid_max:
             continue
-        y, x = divmod(index, remnant.shape[1])
+        y, x = divmod(index, w)
         tips.append(Fingertip(x=x, y=y, depth_cm=raw_to_cm(raw, params), finger_index=rank))
     return tips

@@ -36,7 +36,8 @@ class DepthFrame:
             raise ValueError("samples must be a non-empty 2-D array")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError("raw samples must be integers")
-        if int(arr.max()) > RAW_SENTINEL or int(arr.min()) < 0:
+        # unsigned samples, as every reader gives, cannot be negative
+        if int(arr.max()) > RAW_SENTINEL or (arr.dtype.kind != "u" and int(arr.min()) < 0):
             raise ValueError("raw samples must lie in [0, 2047]")
         self.samples = np.ascontiguousarray(arr, dtype=np.uint16)
 

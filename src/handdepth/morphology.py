@@ -3,15 +3,15 @@
 The palm is the hand's opening by a closed disk of radius r (integer
 offsets with dx^2 + dy^2 <= r^2).  The erosion keeps the pixels whose
 squared distance to background, the hand's distance_transform, exceeds
-r*r: an exact threshold.  The dilation is painted from the core's runs.
-A core pixel's disk covers, on the row dy away, the columns within
-a = isqrt(r*r - dy*dy) of it, so a run [s, e) covers [s - a, e + a)
-there.  Every run and every dy in [-r, r] marks +1 at the start and -1
-at the end of its span, and one prefix sum, positive exactly where some
-span covers, is the union of the disks.  The marks go on a canvas of
-the core's bbox grown by r, large enough that no span needs clipping;
-its in-crop part is the dilation.  Out-of-crop pixels count as
-background.
+r*r: an exact threshold.  The dilation is painted from the core's runs,
+found by segmentation._runs.  A core pixel's disk covers, on the row dy
+away, the columns within a = isqrt(r*r - dy*dy) of it, so a run [s, e)
+covers [s - a, e + a) there.  Every run and every dy in [-r, r] marks
++1 at the start and -1 at the end of its span, and one prefix sum,
+positive exactly where some span covers, is the union of the disks.
+The marks go on a canvas of the core's bbox grown by r, large enough
+that no span needs clipping; its in-crop part is the dilation.
+Out-of-crop pixels count as background.
 
 One distance map per hand gives the palm inradius, the erosion and the
 palm-center argmax.  The fingers are what the opening strips off the
@@ -25,6 +25,7 @@ import math
 import numpy as np
 
 from .errors import EmptyResultError
+from .segmentation import _runs
 
 
 def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
@@ -39,15 +40,9 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     rr = radius * radius
     core = hand_dist > rr
     h, w = core.shape
-    # Runs from the row transitions of the core with a False column after
-    # each row and a False in front: they alternate start, end, ...
-    padded = np.zeros(h * (w + 1) + 1, dtype=bool)
-    padded[1:].reshape(h, w + 1)[:, :w] = core
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    if edges.size == 0:
+    run_y, start, end = _runs(core)
+    if run_y.size == 0:
         raise EmptyResultError(f"opening by radius {radius} left no palm")
-    run_y, start = np.divmod(edges[0::2], w + 1)
-    end = edges[1::2] - run_y * (w + 1)
     # The canvas spans the core's bbox grown by r, plus a column that takes
     # the -1 of spans reaching its right edge; (x0, y0) is its corner.
     x0, y0 = int(start.min()) - radius, int(run_y[0]) - radius
@@ -57,8 +52,8 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     n = ch * cw
     marks = (np.bincount((base + (start[:, None] - reach)).ravel(), minlength=n)
              - np.bincount((base + (end[:, None] + reach)).ravel(), minlength=n))
-    canvas = (np.cumsum(marks) > 0).reshape(ch, cw)
-    opened = np.zeros_like(core)
+    canvas = (marks.cumsum() > 0).reshape(ch, cw)
+    opened = np.zeros((h, w), dtype=bool)
     ya, xa, yb, xb = max(y0, 0), max(x0, 0), min(y0 + ch, h), min(x0 + cw - 1, w)
     opened[ya:yb, xa:xb] = canvas[ya - y0:yb - y0, xa - x0:xb - x0]
     return opened

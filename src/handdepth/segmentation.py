@@ -9,8 +9,9 @@ Band and slab thresholds are defined by a test on the calibration's
 cm_table.  Calibration is monotone, so the codes that pass form one
 interval of raw values, and the mask is one uint16 interval compare on
 the samples; a table whose codes are not contiguous falls back to a
-lookup.  Labelling has two steps.  _runs takes all runs of a mask from
-its flat foreground indices (a run breaks at a jump or a row start).
+lookup.  Labelling has two steps.  _runs, the package's one run
+finder (slab, band, opening core and finger split), takes a mask's runs
+from its row transitions with no per-pixel index array.
 _link takes runs from anywhere, finds the runs that touch across rows
 by binary search and merges them by hook and compress (Shiloach &
 Vishkin, J. Algorithms 1982): each round, every root joined to another
@@ -113,31 +114,23 @@ class Blob:
         ``values`` is indexed like the labelled array; ties go to the first in raster order.
         """
         vals = values[self.box][self.mask]
-        i = int(np.argmin(vals))
-        dy, dx = divmod(int(np.flatnonzero(self.mask)[i]), self.mask.shape[1])
+        i = vals.argmin()
+        dy, dx = divmod(int(self.mask.ravel().nonzero()[0][i]), self.mask.shape[1])
         return self.bbox[0] + dx, self.bbox[1] + dy, vals[i].item()
 
 
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(row, start, end, flat)``: every maximal run of True and the flat foreground indices.
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(row, start, end)``: the maximal [start, end) runs of True of a 2-D mask, in raster order.
 
-    A run is a half-open [start, end) span of one row; runs and flat
-    indices are listed in raster order.
+    Laid out flat with a False after each row and one in front, the mask
+    changes value exactly at run starts and ends, alternately.
     """
-    mask = np.asarray(mask, dtype=bool)
     h, w = mask.shape
-    flat = np.flatnonzero(mask)
-    # new_run[i]: a run starts at flat[i], i.e. at the first pixel, after a
-    # gap, or at column 0 of a row; the extra last entry closes the last run.
-    # Marking the first pixel at or past each row start is safe: if it is
-    # not at column 0, a gap precedes it anyway.
-    new_run = np.ones(flat.size + 1, dtype=bool)
-    np.not_equal(np.diff(flat), 1, out=new_run[1:-1])
-    new_run[np.searchsorted(flat, np.arange(1, h) * w)] = True
-    first, last = np.flatnonzero(new_run[:-1]), np.flatnonzero(new_run[1:])
-    run_y, start = np.divmod(flat[first], w)
-    end = flat[last] - run_y * w + 1
-    return run_y, start, end, flat
+    padded = np.zeros(h * (w + 1) + 1, dtype=bool)
+    padded[1:].reshape(h, w + 1)[:, :w] = mask
+    edges = (padded[1:] != padded[:-1]).nonzero()[0]
+    run_y, start = np.divmod(edges[0::2], w + 1)
+    return run_y, start, edges[1::2] - run_y * (w + 1)
 
 
 def _link(
@@ -153,27 +146,28 @@ def _link(
     # and starts at or before j's end (one pixel less on each side for
     # 4-connectivity), so the runs touching j are one index range [lo, hi).
     # Rows sit 2**32 apart on the search keys, farther than any column, so
-    # no range crosses a row.
+    # no range crosses a row, and hi >= lo because no run is empty.  The row
+    # above's offset and the gap fold into one scalar per search.
     gap, row_key = int(connectivity == 4), run_y << 32
-    above = row_key - (1 << 32)
-    lo = np.searchsorted(row_key + end, above + start + gap)
-    hi = np.searchsorted(row_key + start, above + end - gap, side="right")
-    count = np.maximum(hi - lo, 0)
+    ks, ke = row_key + start, row_key + end
+    lo = ke.searchsorted(ks - ((1 << 32) - gap))
+    hi = ks.searchsorted(ke - ((1 << 32) + gap), side="right")
     # Round one of hook and compress (see the module docstring), from every
     # run as its own root, hooks each run onto the first run above it that
     # it touches.  Every pointer then goes up one row, so a chain has at
     # most h - 1 links, and h.bit_length() jumps (2**jumps > h) reach the roots.
-    index = np.arange(count.size)
-    parent = np.where(count > 0, lo, index)
+    more = hi - lo - 1  # touching runs after the first, -1 where none touches
+    index = np.arange(more.size)
+    parent = np.where(more < 0, index, lo)
     for _ in range(h.bit_length()):
         parent = parent[parent]
     # Later rounds take the touching pairs (i, j) round one left: i runs
     # through lo[j] + 1, ..., hi[j] - 1.  Every run points at a root; each
     # round keeps only the pairs whose roots still differ, and stops when
     # none do.
-    more = np.maximum(count - 1, 0)
-    pair_j = np.repeat(index, more)
-    pair_i = np.arange(pair_j.size) + np.repeat(hi - np.cumsum(more), more)
+    np.maximum(more, 0, out=more)
+    pair_j = index.repeat(more)
+    pair_i = np.arange(pair_j.size) + (hi - more.cumsum()).repeat(more)
     while True:
         pair_i, pair_j = parent[pair_i], parent[pair_j]
         joins = pair_i != pair_j
@@ -186,7 +180,7 @@ def _link(
             parent, jumped = jumped, jumped[jumped]
     # Roots are in raster order, so a component's index is its root's rank.
     is_root = parent == index
-    return np.flatnonzero(is_root), (np.cumsum(is_root) - 1)[parent]
+    return is_root.nonzero()[0], (is_root.cumsum() - 1)[parent]
 
 
 def connected_components(mask: np.ndarray) -> list[Blob]:
@@ -198,8 +192,8 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     back to back, painted in one scatter of the foreground pixels; its
     runs are a slice of one array that holds them all, sorted by blob.
     """
-    run_y, start, end, flat = _runs(mask)
-    h, w = np.shape(mask)
+    run_y, start, end = _runs(mask)
+    h, w = mask.shape
     roots, component = _link(run_y, start, end, h, 8)
     count, length = len(roots), end - start
 
@@ -212,22 +206,25 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     area = np.bincount(component, weights=length, minlength=count).astype(np.int64).tolist()
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
     max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
-    # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so its
-    # pixel at flat index y * w + x goes to that index + base[c] + y * (box_w[c] - w).
+    # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so
+    # pixel (x, y) goes to base[c] + y * box_w[c] + x.  Numbering the runs'
+    # pixels 0, 1, ... in raster order, the last pixel of each run is its
+    # length's prefix sum less 1, and it goes to base + y * box_w + end - 1.
     box_w = max_x - min_x + 1
     off = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(box_w * (max_y - min_y + 1), out=off[1:])
+    (box_w * (max_y - min_y + 1)).cumsum(out=off[1:])
     buf = np.zeros(int(off[-1]), dtype=bool)
     base = off[:-1] - min_y * box_w - min_x
-    buf[flat + np.repeat(base[component] + run_y * (box_w[component] - w), length)] = True
+    shift = (base[component] + run_y * box_w[component] + end - length.cumsum()).repeat(length)
+    buf[np.arange(shift.size) + shift] = True
     # Blob c's runs are runs[:, run_off[c]:run_off[c + 1]], moved to its bbox;
     # a stable sort by component keeps each blob's runs in raster order.
-    order = np.argsort(component, kind="stable")
-    runs = np.take(np.concatenate((run_y, start, end)).reshape(3, -1), order, axis=1)
+    order = component.argsort(kind="stable")
+    runs = np.concatenate((run_y, start, end)).reshape(3, -1).take(order, axis=1)
     per_blob = np.bincount(component, minlength=count)
-    runs -= np.repeat(np.array((min_y, min_x, min_x)), per_blob, axis=1)
+    runs -= np.array((min_y, min_x, min_x)).repeat(per_blob, axis=1)
     run_off = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(per_blob, out=run_off[1:])
+    per_blob.cumsum(out=run_off[1:])
     stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off, run_off)))
     return [
         Blob(a, (x0, y0, x1, y1),
@@ -242,12 +239,13 @@ def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
 
     When the True codes form one interval [lo, hi], this is a single
     compare: uint16 subtraction wraps codes below lo around to high
-    values, so ``samples - lo <= hi - lo`` holds exactly inside it.
+    values, so ``samples - lo <= hi - lo`` holds exactly inside it, and
+    with lo == 0 (every slab table) it is ``samples <= hi``.
     """
-    codes = np.flatnonzero(table)
+    codes = table.nonzero()[0]
     if codes.size and codes[-1] - codes[0] + 1 == codes.size:
         lo, hi = np.uint16(codes[0]), np.uint16(codes[-1])  # uint16 keeps the wrap
-        return samples - lo <= hi - lo
+        return samples <= hi if lo == 0 else samples - lo <= hi - lo
     return table[samples]
 
 
@@ -355,7 +353,7 @@ def fill_holes(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     gap_y = np.empty(run_y.size + h + 2, dtype=np.int64)
     gap_y[0], gap_y[-1] = 0, h + 1
     gap_y[before] = run_y + 1
-    gap_y[np.searchsorted(run_y, rows) + rows] = rows
+    gap_y[run_y.searchsorted(rows) + rows] = rows
     # bounds[2m], bounds[2m + 1] are slot m's start and end.  When slot m is
     # the gap before run i, it ends where run i starts and slot m + 1 starts
     # where run i ends (1 px on, for the padding); every other slot ends its

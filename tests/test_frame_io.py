@@ -195,6 +195,10 @@ def test_frame_validation():
     with pytest.raises(ValueError):
         DepthFrame(np.array([[2048]], dtype=np.int32))
     with pytest.raises(ValueError):
+        DepthFrame(np.array([[-1]], dtype=np.int32))
+    with pytest.raises(ValueError):
+        DepthFrame(np.array([[0, 2048]], dtype=np.uint16))
+    with pytest.raises(ValueError):
         DepthFrame(np.array([[1.5]]))
 
 

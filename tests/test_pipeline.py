@@ -2,6 +2,7 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from handdepth import fingertips, pipeline, segmentation
+from handdepth import fingertips, morphology, pipeline, segmentation
 from handdepth.benchmark import run_benchmark
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw, raw_to_cm
 from handdepth.errors import ConfigError
@@ -436,6 +437,7 @@ def test_extract_hands_matches_the_oracle_detector_on_drawn_scenes(frame, config
 def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
     # No band labelling: every seed's slab blob is its band blob here.  The
     # hole fill links the gaps in the blob's own runs: no _runs of its own.
+    # The opening finds its core's runs, and the finger split its remnant's.
     calls, runs, link = [], segmentation._runs, segmentation._link
 
     def recording_runs(mask):
@@ -449,19 +451,50 @@ def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
     for module in (fingertips, segmentation):
         monkeypatch.setattr(module, "_runs", recording_runs)
         monkeypatch.setattr(module, "_link", recording_link)
+    monkeypatch.setattr(morphology, "_runs", recording_runs)
     for frame in corpus_frames(4):
         calls.clear()
         hands = extract_hands(frame, CFG)
         assert hands
         # one slab labelling per frame; per hand the hole fill links the
-        # padded crop's background 4-connected, then one finger split
+        # padded crop's background 4-connected, the opening finds its core's
+        # runs, then one finger split
         h = frame.samples.shape[0]
         assert calls == [("runs", frame.samples.shape), ("link", h, 8)] + [
             call
             for _, _, blob in hands
-            for call in (("link", blob.mask.shape[0] + 2, 4),
+            for call in (("link", blob.mask.shape[0] + 2, 4), ("runs", blob.mask.shape),
                          ("runs", blob.mask.shape), ("link", blob.mask.shape[0], 8))
         ]
+
+
+def test_extract_hands_calls_no_python_level_numpy_wrapper():
+    # np.flatnonzero, np.diff and the functions of numpy's fromnumeric module
+    # (np.cumsum, np.repeat, np.argmax, ...) are Python code in front of an
+    # ndarray method or a ufunc.  On a hand's few hundred runs their dispatch
+    # costs more than the work, so the frame path calls the methods; this
+    # pins that with no timing.  band_cm=5 takes the whole-frame band labelling.
+    fromnumeric = np.cumsum.__wrapped__.__code__.co_filename
+    banned = {np.flatnonzero.__wrapped__.__code__, np.diff.__wrapped__.__code__}
+    frames, configs = corpus_frames(3), (CFG, replace(CFG, band_cm=5.0))
+    seen = set()
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and (code in banned or code.co_filename == fromnumeric):
+            seen.add(code.co_name)
+
+    def run_all():
+        return [extract_hands(frame, config) for frame in frames for config in configs]
+
+    run_all()  # first calls may import or cache
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        hands = run_all()
+    finally:
+        sys.setprofile(previous)
+    assert all(hands[0::2]) and seen == set()
 
 
 def crossing_stream(n=24):

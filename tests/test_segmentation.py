@@ -166,7 +166,7 @@ def test_labelling_matches_rowwise_labeller_and_flood_fill():
 
 
 def run_finding_cases():
-    """Masks whose runs sit where the flat foreground indices are misleading."""
+    """Masks whose runs meet row ends: a flat layout with no break between rows would join them."""
     wrap = np.zeros((3, 6), dtype=bool)
     wrap[0, 4:] = wrap[1, :2] = True  # flat indices 4..7 are consecutive across a row end
     yield wrap
@@ -218,7 +218,7 @@ def link_cases():
 
 def test_link_matches_unionfind_and_flood_fill():
     for mask in link_cases():
-        run_y, start, end, flat = _runs(mask)
+        run_y, start, end = _runs(mask)
         for conn in (8, 4):
             roots, component = _link(run_y, start, end, mask.shape[0], conn)
             ref_roots, _, (*_, ref_component) = label_runs_unionfind(mask, conn)
@@ -807,9 +807,18 @@ ALL_CODES = np.arange(RAW_SENTINEL + 1, dtype=np.uint16).reshape(32, 64)
 
 
 def test_table_mask_interval_matches_lookup_on_every_code():
-    for lo, hi in ((0, 0), (0, 700), (1, 1), (3, 2046), (517, 900), (1500, 2047), (2047, 2047)):
+    tables = []
+    for lo, hi in ((0, 0), (0, 700), (0, 2046), (0, 2047), (1, 1), (3, 2046), (517, 900),
+                   (1500, 2047), (2047, 2047)):
         table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
         table[lo:hi + 1] = True
+        tables.append(table)
+    # find_hand_seeds' slab tables rise from code 0: the lo == 0 compare
+    for near in (0, 600, DEFAULT_CALIBRATION.raw_valid_max):
+        slab = DEFAULT_CALIBRATION.cm_table <= raw_to_cm(near) + 20.0
+        assert slab[:near + 1].all() and not slab[-1]
+        tables.append(slab)
+    for table in tables:
         got = _table_mask(table, ALL_CODES)
         assert got.dtype == bool and np.array_equal(got, table[ALL_CODES])
 

@@ -19,7 +19,7 @@ from reference import row_distances
 
 def mask_runs(mask: np.ndarray) -> np.ndarray:
     """A mask's runs as the (3, n) row, start and end array Blob.runs holds."""
-    return np.stack(_runs(mask)[:3])
+    return np.array(_runs(mask))
 
 
 def paint(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -31,10 +31,14 @@ def paint(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def label_runs(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """``(roots, flat, (row, start, end, component))`` of a mask, from _runs and _link."""
-    run_y, start, end, flat = _runs(mask)
+    """``(roots, flat, (row, start, end, component))`` of a mask, from _runs and _link.
+
+    ``flat`` is the mask's flat foreground indices, as label_runs_unionfind
+    returns them.
+    """
+    run_y, start, end = _runs(mask)
     roots, component = _link(run_y, start, end, np.shape(mask)[0], connectivity)
-    return roots, flat, (run_y, start, end, component)
+    return roots, np.flatnonzero(mask), (run_y, start, end, component)
 
 
 def filled_mask(mask: np.ndarray) -> np.ndarray:
