@@ -73,7 +73,7 @@ def _input_frames(
     """Check the input now; decode its frames one file at a time as they are pulled."""
     root = Path(input_path)
     if root.is_dir():
-        paths = sorted(p for p in root.iterdir() if p.suffix in FRAME_SUFFIXES)
+        paths = sorted(p for p in root.iterdir() if p.suffix in FRAME_SUFFIXES and p.is_file())
         if not paths:
             raise ConfigError(f"no .pgm/.r16 frames under {root}")
     else:

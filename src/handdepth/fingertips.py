@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION, raw_to_cm
-from .segmentation import _link, _runs
+from .segmentation import _link, _pixels, _runs
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,10 @@ def detect_fingertips(
     kept = (area >= max(4, round(0.05 * int(hand.sum()) / 5))).nonzero()[0]
     kept = kept[(-area[kept]).argsort(kind="stable")[:5]]  # stable: ties stay in raster order
     # The least key raw * size + flat index is the least raw, ties to the
-    # first pixel in raster order.  With the runs' pixels numbered 0, 1, ...
-    # in raster order, the last pixel of each run is its length's prefix
-    # sum less 1, at flat index y * w + end - 1.
-    size = remnant.size
-    shift = (run_y * w + end - length.cumsum()).repeat(length)
+    # first pixel in raster order.
+    size, flat = remnant.size, _pixels(run_y, start, end, w)
     key = np.full(len(roots), 2**63 - 1)  # int64 max
-    np.minimum.at(key, component.repeat(length),
-                  samples[remnant].astype(np.int64) * size + np.arange(shift.size) + shift)
+    np.minimum.at(key, component.repeat(length), samples.take(flat).astype(np.int64) * size + flat)
     tips = []
     for rank, lowest in enumerate(key[kept].tolist()):
         raw, index = divmod(lowest, size)

@@ -91,7 +91,7 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     """Palm center and fingertips of one segmented hand blob."""
     # The exact bbox: every per-hand stage treats pixels outside it as background.
     x0, y0 = blob.bbox[:2]
-    dist = distance_transform(fill_holes(blob.runs, blob.mask.shape), blob.mask.shape)
+    dist = distance_transform(fill_holes(blob.runs, blob.shape), blob.shape)
     hand = dist > 0  # the filled hand: distance_transform is 0 exactly off it
     palm = find_palm_center(dist)
     palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))

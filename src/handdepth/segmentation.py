@@ -24,9 +24,9 @@ index, so a root is its component's first run in raster order, the
 components come out in the raster order of their first pixels, and a
 component's index is its root's rank (no sort).  Stats come from the
 same runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each
-component is its bbox, a boolean mask of the bbox's shape painted from
-its own runs, and those runs moved to the bbox; no frame-sized label
-image is built.
+component is its bbox and its own runs moved to the bbox, with no mask or
+frame-sized label image; _pixels numbers a run set's pixels where a stage
+reads them (a blob's least value, the slab's band test, the fingertips).
 
 The whole frame is labelled once, for the slab.  segment_hand builds
 the band's table over raw codes and ends in one of two ways:
@@ -34,8 +34,8 @@ the band's table over raw codes and ends in one of two ways:
 - Slab blob returned.  Every raw code of the band is a slab code, so
   the band mask lies inside the slab mask, and a band pixel touching
   the seed's band component is a slab pixel touching the seed's slab
-  blob S, hence in it: the component lies inside S.  If, thresholded
-  over S's bbox, every pixel of S is a band pixel, then S is connected,
+  blob S, hence in it: the component lies inside S.  If every pixel of
+  S, read from its runs, is a band pixel, then S is connected,
   in the band and holds the seed, so the component also contains S.
   The two are equal, and S comes back with nothing labelled.
 - Whole frame labelled.  In every other case: some pixel of S lies
@@ -85,18 +85,15 @@ class HandSeed:
 
 @dataclass(eq=False)
 class Blob:
-    """One maximal connected foreground component: its area, bbox, mask and runs.
+    """One maximal connected foreground component: its area, bbox and runs.
 
-    ``mask`` has the bbox's shape and marks the component's pixels in
-    it; ``box`` places it in the labelled array.  ``runs`` lists the
-    same pixels as maximal [start, end) runs of the mask's rows in
-    raster order.  The blob holds no frame-sized label image.
+    ``runs`` is the only record of its pixels: maximal [start, end) runs
+    of rows, in raster order and bbox coordinates; ``box`` places the bbox.
     """
 
     area: int
     bbox: tuple[int, int, int, int]  # min_x, min_y, max_x, max_y (inclusive)
-    mask: np.ndarray = field(repr=False)  # bool, (max_y - min_y + 1, max_x - min_x + 1)
-    runs: np.ndarray = field(repr=False)  # int64, (3, runs): row, start, end in the mask
+    runs: np.ndarray = field(repr=False)  # int64, (3, runs): row, start, end in the bbox
 
     @property
     def box(self) -> tuple[slice, slice]:
@@ -104,19 +101,38 @@ class Blob:
         min_x, min_y, max_x, max_y = self.bbox
         return slice(min_y, max_y + 1), slice(min_x, max_x + 1)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """The bbox's (height, width)."""
+        min_x, min_y, max_x, max_y = self.bbox
+        return max_y - min_y + 1, max_x - min_x + 1
+
     def contains(self, x: int, y: int) -> bool:
         min_x, min_y, max_x, max_y = self.bbox
-        return min_x <= x <= max_x and min_y <= y <= max_y and bool(self.mask[y - min_y, x - min_x])
+        run_y, start, end = self.runs
+        # The bbox test first: a labelling's other blobs mostly lie far from (x, y).
+        return (min_x <= x <= max_x and min_y <= y <= max_y
+                and bool(((run_y == y - min_y) & (start <= x - min_x) & (end > x - min_x)).any()))
 
     def lowest(self, values: np.ndarray) -> tuple[int, int, int]:
         """``(x, y, value)`` of the least of ``values`` over the blob's own pixels.
 
         ``values`` is indexed like the labelled array; ties go to the first in raster order.
         """
-        vals = values[self.box][self.mask]
+        flat = _pixels(*self.runs, self.shape[1])
+        vals = values[self.box].take(flat)
         i = vals.argmin()
-        dy, dx = divmod(int(self.mask.ravel().nonzero()[0][i]), self.mask.shape[1])
+        dy, dx = divmod(flat[i].item(), self.shape[1])
         return self.bbox[0] + dx, self.bbox[1] + dy, vals[i].item()
+
+
+def _pixels(run_y: np.ndarray, start: np.ndarray, end: np.ndarray, w: int) -> np.ndarray:
+    """The flat indices, in a ``w``-wide array, of the runs' pixels in raster order."""
+    # Numbering the pixels 0, 1, ... in that order, the last pixel of each
+    # run is its length's prefix sum less 1, at flat index y * w + end - 1.
+    length = end - start
+    shift = (run_y * w + end - length.cumsum()).repeat(length)
+    return np.arange(shift.size) + shift
 
 
 def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -188,9 +204,8 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
 
     The list is in the raster order of each component's first pixel.
     Stats come from the labelled runs, never from a rescan of the mask.
-    Every blob's bbox mask is a view into one buffer that holds them all
-    back to back, painted in one scatter of the foreground pixels; its
-    runs are a slice of one array that holds them all, sorted by blob.
+    Every blob's runs are a slice of one array that holds them all,
+    sorted by blob; no pixel is painted.
     """
     run_y, start, end = _runs(mask)
     h, w = mask.shape
@@ -206,17 +221,6 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     area = np.bincount(component, weights=length, minlength=count).astype(np.int64).tolist()
     min_x, min_y = extreme(np.minimum, start, w), run_y[roots]  # a root is its first run
     max_x, max_y = extreme(np.maximum, end - 1, -1), extreme(np.maximum, run_y, -1)
-    # Blob c's mask is buf[off[c]:off[c + 1]], its bbox in raster order, so
-    # pixel (x, y) goes to base[c] + y * box_w[c] + x.  Numbering the runs'
-    # pixels 0, 1, ... in raster order, the last pixel of each run is its
-    # length's prefix sum less 1, and it goes to base + y * box_w + end - 1.
-    box_w = max_x - min_x + 1
-    off = np.zeros(count + 1, dtype=np.int64)
-    (box_w * (max_y - min_y + 1)).cumsum(out=off[1:])
-    buf = np.zeros(int(off[-1]), dtype=bool)
-    base = off[:-1] - min_y * box_w - min_x
-    shift = (base[component] + run_y * box_w[component] + end - length.cumsum()).repeat(length)
-    buf[np.arange(shift.size) + shift] = True
     # Blob c's runs are runs[:, run_off[c]:run_off[c + 1]], moved to its bbox;
     # a stable sort by component keeps each blob's runs in raster order.
     order = component.argsort(kind="stable")
@@ -225,12 +229,10 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     runs -= np.array((min_y, min_x, min_x)).repeat(per_blob, axis=1)
     run_off = np.zeros(count + 1, dtype=np.int64)
     per_blob.cumsum(out=run_off[1:])
-    stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, off, run_off)))
+    stats = zip(area, *(v.tolist() for v in (min_x, min_y, max_x, max_y, run_off)))
     return [
-        Blob(a, (x0, y0, x1, y1),
-             buf[o:o + (x1 - x0 + 1) * (y1 - y0 + 1)].reshape(y1 - y0 + 1, x1 - x0 + 1),
-             runs[:, r:r1])
-        for (a, x0, y0, x1, y1, o, r), r1 in zip(stats, run_off[1:].tolist())
+        Blob(a, (x0, y0, x1, y1), runs[:, r:r1])
+        for (a, x0, y0, x1, y1, r), r1 in zip(stats, run_off[1:].tolist())
     ]
 
 
@@ -313,14 +315,14 @@ def segment_hand(
 
     - every raw code of the band is a slab code and every pixel of the
       seed's slab blob is in the band: that blob is returned itself, so
-      its mask is a view into the slab labelling's shared buffer;
+      its runs are a slice of the slab labelling's shared run array;
     - otherwise, or for a seed without a slab: the band is labelled
       over the whole frame.
     """
     in_band = _band_table(seed, band_cm, params)
     if seed.slab is not None and not (in_band & ~seed.slab[1]).any():
         slab = seed.slab[0]
-        if _table_mask(in_band, frame.samples[slab.box])[slab.mask].all():
+        if in_band[frame.samples[slab.box].take(_pixels(*slab.runs, slab.shape[1]))].all():
             return slab  # all band: the slab blob is the band component (module docstring)
     return select_hand_blob(connected_components(_table_mask(in_band, frame.samples)), seed)
 

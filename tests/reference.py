@@ -565,13 +565,13 @@ def expected_path(frame, seed, band_cm, slab_cm, params, margin_cm=1.0):
     if reach >= -margin_cm:
         return None
     slab = seed.slab[0]
-    depth_cm = params.cm_table[frame.samples[slab.box]][slab.mask]
+    depth_cm = params.cm_table[frame.samples[placed(slab, frame.samples.shape)]]
     return "slab" if (np.abs(depth_cm - raw_to_cm(seed.depth_raw, params)) <= band_cm).all() else "frame"
 
 
 def blob_key(blob) -> tuple:
-    """A blob's area, bbox and mask as a tuple that compares by value."""
-    return blob.area, blob.bbox, blob.mask.shape, blob.mask.tobytes()
+    """A blob's area, bbox and runs as a tuple that compares by value."""
+    return blob.area, blob.bbox, blob.runs.tolist()
 
 
 @dataclass
@@ -678,11 +678,12 @@ def rotated_position(x: int, y: int, width: int, height: int, quarter_turns: int
 
 
 def placed(blob, shape: tuple[int, int]) -> np.ndarray:
-    """A blob's bbox-local mask laid into an all-False array of ``shape``."""
+    """A blob's bbox-local runs painted at its bbox into an all-False array of ``shape``."""
     out = np.zeros(shape, dtype=bool)
-    min_x, min_y, max_x, max_y = blob.bbox
-    assert blob.mask.dtype == bool and blob.mask.shape == (max_y - min_y + 1, max_x - min_x + 1)
-    out[min_y:max_y + 1, min_x:max_x + 1] = blob.mask
+    min_x, min_y = blob.bbox[:2]
+    assert blob.runs.dtype == np.int64 and blob.runs.shape[0] == 3
+    for y, start, end in blob.runs.T.tolist():
+        out[min_y + y, min_x + start:min_x + end] = True
     return out
 
 

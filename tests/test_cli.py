@@ -131,6 +131,19 @@ def test_detect_missing_input(tmp_path):
     assert main(["detect", "--input", str(tmp_path / "nope.pgm")]) == 2
 
 
+def test_detect_skips_directories_named_like_frames(tmp_path, frame_dir, capsys):
+    (frame_dir / "f000x.pgm").mkdir()  # sorts between the two frames
+    (frame_dir / "sub.r16").mkdir()  # would ask for --raw-dims if it were a frame
+    report = tmp_path / "out.jsonl"
+    assert main(["detect", "--input", str(frame_dir), "--out-report", str(report)]) == 0
+    assert [json.loads(line)["frame_index"] for line in report.read_bytes().splitlines()] == [0, 1]
+    only_dirs = tmp_path / "only_dirs"
+    (only_dirs / "sub.pgm").mkdir(parents=True)
+    assert main(["detect", "--input", str(only_dirs)]) == 2
+    err = capsys.readouterr().err
+    assert "no .pgm/.r16 frames" in err and "Traceback" not in err
+
+
 def test_detect_corrupt_pgm_is_format_error(tmp_path):
     bad = tmp_path / "bad.pgm"
     bad.write_bytes(b"P5\n4 4\n2047\n\x00\x01")  # truncated

@@ -463,8 +463,8 @@ def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
         assert calls == [("runs", frame.samples.shape), ("link", h, 8)] + [
             call
             for _, _, blob in hands
-            for call in (("link", blob.mask.shape[0] + 2, 4), ("runs", blob.mask.shape),
-                         ("runs", blob.mask.shape), ("link", blob.mask.shape[0], 8))
+            for call in (("link", blob.shape[0] + 2, 4), ("runs", blob.shape),
+                         ("runs", blob.shape), ("link", blob.shape[0], 8))
         ]
 
 

@@ -28,6 +28,7 @@ from handdepth.pipeline import PipelineConfig, extract_hands
 from handdepth.synthetic import HandSpec, build_corpus, render_scene
 
 from reference import (
+    _raster_first_min,
     blob_key,
     deterministic,
     edge_masks,
@@ -154,8 +155,9 @@ def assert_labelling_matches_oracles(mask):
     # blob i, laid at its bbox, is exactly the pixels of row-wise label i + 1
     assert all(np.array_equal(placed(b, mask.shape), ref_labels == lab)
                for lab, b in enumerate(blobs, start=1))
-    # and its runs are its mask's runs
-    assert all(b.runs.dtype == np.int64 and np.array_equal(b.runs, mask_runs(b.mask)) for b in blobs)
+    # and its runs are those of row-wise label i + 1 cropped to its bbox
+    assert all(b.runs.dtype == np.int64 and np.array_equal(b.runs, mask_runs((ref_labels == lab)[b.box]))
+               for lab, b in enumerate(blobs, start=1))
     # flood fill finds components in raster order of their first pixel
     assert [pixel_set(b, mask.shape) for b in blobs] == flood_fill_components(mask)
 
@@ -404,6 +406,21 @@ def test_lowest_ranks_only_the_blobs_own_pixels():
     values[7, 2] = values[1, 6] = 65534  # the ring's minimum, twice
     assert ring.lowest(values) == (6, 1, 65534)  # raster-first of the tie
     assert dot.lowest(values) == (4, 4, 65535)  # every other pixel of the frame is lower
+
+
+@deterministic
+@given(masks, st.integers(1, 2**16), st.integers(0, 2**32 - 1))
+def test_contains_and_lowest_match_flood_fill(mask, top, seed):
+    # top bounds the values, so small draws make ties for lowest to break
+    values = np.random.default_rng(seed).integers(0, top, mask.shape, dtype=np.uint16)
+    blobs, components = connected_components(mask), flood_fill_components(mask)
+    assert len(blobs) == len(components)
+    for blob, pixels in zip(blobs, components):
+        min_x, min_y, max_x, max_y = blob.bbox
+        assert all(blob.contains(x, y) == ((x, y) in pixels)
+                   for y in range(min_y - 1, max_y + 2) for x in range(min_x - 1, max_x + 2))
+        value, y, x = _raster_first_min(pixels, values)
+        assert blob.lowest(values) == (x, y, value)
 
 
 def test_find_seeds_empty_scene():
@@ -707,18 +724,16 @@ def test_fill_holes_from_runs_on_empty_rows_diagonal_holes_and_rings():
         assert_fill_matches_oracles(mask)
 
 
-def test_fill_holes_leaves_the_shared_blob_buffer_alone():
+def test_fill_holes_leaves_the_shared_run_array_alone():
     mask = np.zeros((6, 12), dtype=bool)
     mask[1:5, 1:5] = mask[1:5, 7:11] = True
     mask[2, 2] = mask[3, 9] = False  # one hole in each blob
     blobs = connected_components(mask)
-    before = [(b.mask.copy(), b.runs.copy()) for b in blobs]
-    assert blobs[0].mask.base is blobs[1].mask.base  # both views into one buffer
-    assert blobs[0].runs.base is blobs[1].runs.base  # and one run array
+    before = [b.runs.copy() for b in blobs]
+    assert blobs[0].runs.base is blobs[1].runs.base  # both slices of one run array
     for blob in blobs:
-        assert paint(fill_holes(blob.runs, blob.mask.shape), blob.mask.shape).all()
-    assert all(np.array_equal(b.mask, m) and np.array_equal(b.runs, r)
-               for b, (m, r) in zip(blobs, before))
+        assert paint(fill_holes(blob.runs, blob.shape), blob.shape).all()
+    assert all(np.array_equal(b.runs, r) for b, r in zip(blobs, before))
 
 
 def test_extract_hands_leaves_the_returned_slab_blobs_alone(monkeypatch):
@@ -727,13 +742,13 @@ def test_extract_hands_leaves_the_returned_slab_blobs_alone(monkeypatch):
     for scene in build_corpus(4, seed=3):
         frame, _ = scene.render()
         seeds = find_hand_seeds(frame, config.max_hands, config.min_area, config.slab_cm)
-        before = [(seed.slab[0].mask.copy(), seed.slab[0].runs.copy()) for seed in seeds]
-        assert not all(np.array_equal(filled_mask(m), m) for m, _ in before)
+        before = [seed.slab[0].runs.copy() for seed in seeds]
+        masks_before = [paint(r, seed.slab[0].shape) for seed, r in zip(seeds, before)]
+        assert not all(np.array_equal(filled_mask(m), m) for m in masks_before)
         monkeypatch.setattr(pipeline, "find_hand_seeds", lambda *args: seeds)
         hands = extract_hands(frame, config)
         assert [blob for _, _, blob in hands] == [seed.slab[0] for seed in seeds]
-        assert all(np.array_equal(s.slab[0].mask, m) and np.array_equal(s.slab[0].runs, r)
-                   for s, (m, r) in zip(seeds, before))
+        assert all(np.array_equal(s.slab[0].runs, r) for s, r in zip(seeds, before))
 
 
 @deterministic
