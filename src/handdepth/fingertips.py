@@ -43,7 +43,7 @@ def detect_fingertips(
     is the finger's least raw sample, ties to the smallest y, then x.  A
     finger with no usable sample gives no tip; the others keep their ranks.
     """
-    remnant = hand & ~palm
+    remnant = hand > palm  # hand and not palm, in one ufunc
     h, w = remnant.shape
     run_y, start, end = _runs(remnant)
     roots, component = _link(run_y, start, end, h, 8)

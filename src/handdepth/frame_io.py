@@ -98,6 +98,9 @@ def read_pgm(data: bytes) -> tuple[DepthFrame, int]:
 
     Accepts any maxval in [256, 65535]; samples above 2047 are clamped to
     the sentinel.  Returns the frame and the number of clamped samples.
+    An in-range payload is read in two passes, the byte swap and
+    DepthFrame's range check; the clamp mask and its count are built
+    only when that check fails.
     """
     if data[:2] != b"P5":
         raise FormatError(f"not a binary PGM (magic {data[:2]!r})", offset=0)
@@ -118,11 +121,13 @@ def read_pgm(data: bytes) -> tuple[DepthFrame, int]:
             offset=len(data),
         )
     raw = np.frombuffer(data, dtype=">u2", count=count, offset=pos).astype(np.uint16)
-    over = raw > RAW_SENTINEL
-    clamped = int(np.count_nonzero(over))
-    if clamped:
+    raw = raw.reshape(height, width)
+    try:
+        return DepthFrame(raw), 0
+    except ValueError:  # some sample lies past the sentinel: the only check raw can fail
+        over = raw > RAW_SENTINEL
         raw[over] = RAW_SENTINEL  # raw is a fresh copy, so clamp in place
-    return DepthFrame(raw.reshape(height, width)), clamped
+        return DepthFrame(raw), int(np.count_nonzero(over))
 
 
 def write_pgm(frame: DepthFrame) -> bytes:

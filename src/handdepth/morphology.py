@@ -6,7 +6,8 @@ squared distance to background, the hand's distance_transform, exceeds
 r*r: an exact threshold.  The dilation is painted from the core's runs,
 found by segmentation._runs.  A core pixel's disk covers, on the row dy
 away, the columns within a = isqrt(r*r - dy*dy) of it, so a run [s, e)
-covers [s - a, e + a) there.  Every run and every dy in [-r, r] marks
+covers [s - a, e + a) there; the 2r + 1 half-widths a of each radius
+are computed once and cached.  Every run and every dy in [-r, r] marks
 +1 at the start and -1 at the end of its span, and one prefix sum,
 positive exactly where some span covers, is the union of the disks.
 The marks go on a canvas of the core's bbox grown by r, large enough
@@ -20,12 +21,22 @@ hand; fingertips.detect_fingertips splits them.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from .errors import EmptyResultError
 from .segmentation import _runs
+
+
+@functools.lru_cache(maxsize=128)
+def _reach(radius: int) -> np.ndarray:
+    """isqrt(r*r - dy*dy) for dy in [-r, r]: the disk's half-width dy rows away; read-only."""
+    rr = radius * radius
+    reach = np.array([math.isqrt(rr - dy * dy) for dy in range(-radius, radius + 1)])
+    reach.flags.writeable = False
+    return reach
 
 
 def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
@@ -37,8 +48,7 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     """
     if radius < 1:
         raise ValueError("palm extraction radius must be >= 1")
-    rr = radius * radius
-    core = hand_dist > rr
+    core = hand_dist > radius * radius
     h, w = core.shape
     run_y, start, end = _runs(core)
     if run_y.size == 0:
@@ -47,7 +57,7 @@ def extract_palm(hand_dist: np.ndarray, radius: int) -> np.ndarray:
     # the -1 of spans reaching its right edge; (x0, y0) is its corner.
     x0, y0 = int(start.min()) - radius, int(run_y[0]) - radius
     cw, ch = int(end.max()) + radius - x0 + 1, int(run_y[-1]) + radius - y0 + 1
-    reach = np.array([math.isqrt(rr - dy * dy) for dy in range(-radius, radius + 1)])
+    reach = _reach(radius)
     base = (run_y[:, None] + np.arange(-radius - y0, radius - y0 + 1)) * cw - x0
     n = ch * cw
     marks = (np.bincount((base + (start[:, None] - reach)).ravel(), minlength=n)

@@ -19,11 +19,11 @@ argmax, the palm center, lies in every non-empty opening.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 from .calibration import CalibrationParams, DEFAULT_CALIBRATION
-from .distance import distance_transform, find_palm_center
+from .distance import PalmCenter, distance_transform, find_palm_center
 from .errors import (
     ConfigError,
     DegenerateHandError,
@@ -33,7 +33,7 @@ from .errors import (
     check_keys,
     number,
 )
-from .fingertips import detect_fingertips
+from .fingertips import Fingertip, detect_fingertips
 from .frame_io import DepthFrame, DetectionReport
 from .morphology import auto_radius, extract_palm
 from .segmentation import Blob, fill_holes, find_hand_seeds, segment_hand
@@ -97,8 +97,8 @@ def _analyze_hand(frame: DepthFrame, blob: Blob, config: PipelineConfig) -> Hand
     palm_mask = extract_palm(dist, auto_radius(palm.inradius_px))
     tips = detect_fingertips(hand, palm_mask, frame.samples[blob.box], config.calibration)
     return (
-        replace(palm, x=palm.x + x0, y=palm.y + y0),
-        [replace(t, x=t.x + x0, y=t.y + y0) for t in tips],
+        PalmCenter(palm.x + x0, palm.y + y0, palm.inradius_px),
+        [Fingertip(t.x + x0, t.y + y0, t.depth_cm, t.finger_index) for t in tips],
         blob,
     )
 

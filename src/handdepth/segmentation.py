@@ -26,10 +26,22 @@ component's index is its root's rank (no sort).  Stats come from the
 same runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each
 component is its bbox and its own runs moved to the bbox, with no mask or
 frame-sized label image; _pixels numbers a run set's pixels where a stage
-reads them (a blob's least value, the slab's band test, the fingertips).
+reads them (a seeded slab blob's codes, the fingertips).
 
-The whole frame is labelled once, for the slab.  segment_hand builds
-the band's table over raw codes and ends in one of two ways:
+The slab is labelled inside its window, not over the whole frame.  Let
+hi be the slab table's last code.  Every slab pixel's code is at most
+hi, so every slab pixel lies in the window spanning the rows whose
+least code is at most hi and, within those rows, the columns whose
+least code is at most hi.  The same row minima give the frame's
+nearest code, so the window costs one more pass over its own rows.
+Cropping keeps raster order, so the window's components, their order
+and their bbox-relative runs are the whole frame's; only the bboxes
+move, by the window's corner.  With a table whose codes are not
+contiguous the window may also hold pixels outside the slab; they are
+background there as everywhere, so the labelling stays exact.  The
+seeded blobs' codes are read once, for the seed and for segment_hand's
+band test.  segment_hand builds the band's table over raw codes and
+ends in one of two ways:
 
 - Slab blob returned.  Every raw code of the band is a slab code, so
   the band mask lies inside the slab mask, and a band pixel touching
@@ -41,7 +53,8 @@ the band's table over raw codes and ends in one of two ways:
 - Whole frame labelled.  In every other case: some pixel of S lies
   outside the band, the band reaches past the slab (a hand more than
   slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm),
-  or the seed carries no slab.
+  or the seed carries no slab.  The band is labelled over the whole
+  frame: it may reach past the slab's window.
 
 fill_holes works on the hand's runs alone, never on its pixels (morphology
 on interval-coded images, Ji, Piper & Tang, Pattern Recognition Letters
@@ -72,15 +85,16 @@ class HandSeed:
     """A pixel assumed to lie on a hand, with the raw depth found there.
 
     A seed from find_hand_seeds also carries ``slab``: the slab blob it
-    lies in and the slab's table over raw codes, valid for the frame the
-    seed was found in.  A seed made elsewhere (a tracker, a test) has
-    none.  ``slab`` takes no part in equality.
+    lies in, the slab's table over raw codes and the blob's raw codes in
+    the raster order of its pixels, valid for the frame the seed was
+    found in.  A seed made elsewhere (a tracker, a test) has none.
+    ``slab`` takes no part in equality.
     """
 
     x: int
     y: int
     depth_raw: int
-    slab: tuple[Blob, np.ndarray] | None = field(default=None, compare=False, repr=False)
+    slab: tuple[Blob, np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -113,17 +127,6 @@ class Blob:
         # The bbox test first: a labelling's other blobs mostly lie far from (x, y).
         return (min_x <= x <= max_x and min_y <= y <= max_y
                 and bool(((run_y == y - min_y) & (start <= x - min_x) & (end > x - min_x)).any()))
-
-    def lowest(self, values: np.ndarray) -> tuple[int, int, int]:
-        """``(x, y, value)`` of the least of ``values`` over the blob's own pixels.
-
-        ``values`` is indexed like the labelled array; ties go to the first in raster order.
-        """
-        flat = _pixels(*self.runs, self.shape[1])
-        vals = values[self.box].take(flat)
-        i = vals.argmin()
-        dy, dx = divmod(flat[i].item(), self.shape[1])
-        return self.bbox[0] + dx, self.bbox[1] + dy, vals[i].item()
 
 
 def _pixels(run_y: np.ndarray, start: np.ndarray, end: np.ndarray, w: int) -> np.ndarray:
@@ -267,6 +270,27 @@ def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
     raise NotFoundError(f"seed pixel ({seed.x}, {seed.y}) lies on background")
 
 
+def _slab_components(
+    samples: np.ndarray, row_min: np.ndarray, in_slab: np.ndarray, min_area: int
+) -> list[Blob]:
+    """The slab's components of at least ``min_area`` pixels, in raster order, in frame coordinates.
+
+    ``row_min`` is ``samples.min(axis=1)`` and ``in_slab`` a table over raw
+    codes that holds some code of the frame.  Only the window of the
+    codes up to ``in_slab``'s last one is labelled (module docstring).
+    """
+    hi = int(in_slab.nonzero()[0][-1])
+    rows = (row_min <= hi).nonzero()[0]
+    y0, y1 = rows[0].item(), rows[-1].item() + 1
+    cols = (samples[y0:y1].min(axis=0) <= hi).nonzero()[0]
+    x0, x1 = cols[0].item(), cols[-1].item() + 1
+    return [
+        Blob(b.area, (b.bbox[0] + x0, b.bbox[1] + y0, b.bbox[2] + x0, b.bbox[3] + y0), b.runs)
+        for b in connected_components(_table_mask(in_slab, samples[y0:y1, x0:x1]))
+        if b.area >= min_area
+    ]
+
+
 def find_hand_seeds(
     frame: DepthFrame,
     max_hands: int,
@@ -279,6 +303,9 @@ def find_hand_seeds(
     Thresholds the frame at the nearest valid depth plus ``slab_cm``,
     keeps components with at least ``min_area`` pixels ordered by area,
     and seeds each at its nearest-depth pixel (raster order on ties).
+    One pass of row minima gives the nearest depth and the slab's rows;
+    the slab is labelled inside its window alone, and each seeded blob's
+    codes are read once, for its seed and for segment_hand's band test.
 
     The slab is measured from the frame's nearest pixel, not from each
     hand's: fingers reaching more than ``slab_cm`` in front of their
@@ -290,16 +317,25 @@ def find_hand_seeds(
     if number(slab_cm, "slab_cm", ValueError) <= 0:
         raise ValueError(f"slab_cm must be positive, not {slab_cm!r}")
     samples = frame.samples
-    near_raw = int(samples.min())
+    row_min = samples.min(axis=1)
+    near_raw = int(row_min.min())
     if near_raw > params.raw_valid_max:
         raise NotFoundError("frame has no valid depth samples")
     near_cm = raw_to_cm(near_raw, params)
-    in_slab = params.cm_table <= near_cm + slab_cm  # NaN (invalid) is False
-    blobs = [b for b in connected_components(_table_mask(in_slab, samples)) if b.area >= min_area]
+    in_slab = params.cm_table <= near_cm + slab_cm  # NaN (invalid) is False; holds near_raw
+    blobs = _slab_components(samples, row_min, in_slab, min_area)
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: -b.area)  # stable: ties stay in raster order
-    return [HandSeed(*blob.lowest(samples), slab=(blob, in_slab)) for blob in blobs[:max_hands]]
+    seeds = []
+    for blob in blobs[:max_hands]:
+        flat = _pixels(*blob.runs, blob.shape[1])
+        codes = samples[blob.box].take(flat)
+        i = codes.argmin()  # ties: the first in raster order
+        dy, dx = divmod(flat[i].item(), blob.shape[1])
+        seeds.append(HandSeed(blob.bbox[0] + dx, blob.bbox[1] + dy, codes[i].item(),
+                              slab=(blob, in_slab, codes)))
+    return seeds
 
 
 def segment_hand(
@@ -321,8 +357,8 @@ def segment_hand(
     """
     in_band = _band_table(seed, band_cm, params)
     if seed.slab is not None and not (in_band & ~seed.slab[1]).any():
-        slab = seed.slab[0]
-        if in_band[frame.samples[slab.box].take(_pixels(*slab.runs, slab.shape[1]))].all():
+        slab, _, codes = seed.slab
+        if in_band[codes].all():
             return slab  # all band: the slab blob is the band component (module docstring)
     return select_hand_blob(connected_components(_table_mask(in_band, frame.samples)), seed)
 

@@ -418,20 +418,34 @@ def fill_holes_padded(mask: np.ndarray) -> np.ndarray:
     return labels[1:-1, 1:-1] != 1
 
 
+def lowest(blob, values: np.ndarray) -> tuple[int, int, int]:
+    """``(x, y, value)`` of the least of ``values`` over the blob's own pixels, as Blob.lowest gave it.
+
+    ``values`` is indexed like the labelled array; ties go to the first
+    in raster order.  Kept for fingertips_from_blobs; find_hand_seeds
+    now reads a seeded blob's codes once itself and keeps them.
+    """
+    flat = segmentation._pixels(*blob.runs, blob.shape[1])
+    vals = values[blob.box].take(flat)
+    i = vals.argmin()
+    dy, dx = divmod(flat[i].item(), blob.shape[1])
+    return blob.bbox[0] + dx, blob.bbox[1] + dy, vals[i].item()
+
+
 def fingertips_from_blobs(hand, palm, samples, params):
     """The finger split and tips as they were, one Blob per finger, kept as their oracle.
 
     Labels ``hand & ~palm`` into Blobs, drops those below the sliver
     floor, keeps the five largest by a stable sort and takes each tip
-    from Blob.lowest; a tip past ``raw_valid_max`` is dropped.
+    from lowest; a tip past ``raw_valid_max`` is dropped.
     """
     floor = max(4, round(0.05 * int(hand.sum()) / 5))
     blobs = [b for b in connected_components(hand & ~palm) if b.area >= floor]
     tips = []
     for index, finger in enumerate(sorted(blobs, key=lambda b: -b.area)[:5]):
-        x, y, lowest = finger.lowest(samples)
-        if lowest <= params.raw_valid_max:
-            tips.append(Fingertip(x, y, raw_to_cm(lowest, params), index))
+        x, y, raw = lowest(finger, samples)
+        if raw <= params.raw_valid_max:
+            tips.append(Fingertip(x, y, raw_to_cm(raw, params), index))
     return tips
 
 

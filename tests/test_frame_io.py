@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -87,6 +88,34 @@ def test_pgm_clamp_matches_minimum_reference():
         frame, clamped = read_pgm(pgm_65535(raw))
         assert np.array_equal(frame.samples, np.minimum(raw, 2047))
         assert clamped == int((raw > 2047).sum())
+
+
+def test_read_pgm_counts_clamps_only_for_an_out_of_range_file():
+    # An in-range file is checked by DepthFrame's one max(); the clamp mask
+    # and its count_nonzero come only once that check fails.  The clamped
+    # files are the tripwire's positive control.
+    seen = []
+
+    def profile(frame, event, arg):
+        name = frame.f_code.co_name if event == "call" else getattr(arg, "__name__", None)
+        if event in ("call", "c_call") and name == "count_nonzero":
+            seen.append(event)
+
+    raw = np.random.default_rng(14).integers(0, 2048, size=(6, 9), dtype=np.uint16)
+    first, last = raw.copy(), raw.copy()
+    first[0, 0], last[-1, -1] = 2048, 65535
+    every = np.full(raw.shape, 40_000, dtype=np.uint16)
+    for samples, want in ((raw, 0), (first, 1), (last, 1), (every, raw.size)):
+        data = pgm_65535(samples)
+        seen.clear()
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            frame, clamped = read_pgm(data)
+        finally:
+            sys.setprofile(previous)
+        assert clamped == want and np.array_equal(frame.samples, np.minimum(samples, 2047))
+        assert bool(seen) == (want > 0)
 
 
 def test_pgm_accepts_header_comments():

@@ -456,11 +456,16 @@ def test_extract_hands_labels_the_slab_and_each_finger_split_only(monkeypatch):
         calls.clear()
         hands = extract_hands(frame, CFG)
         assert hands
-        # one slab labelling per frame; per hand the hole fill links the
-        # padded crop's background 4-connected, the opening finds its core's
-        # runs, then one finger split
-        h = frame.samples.shape[0]
-        assert calls == [("runs", frame.samples.shape), ("link", h, 8)] + [
+        # one slab labelling per frame, inside the bbox of the codes up to
+        # the slab's last; per hand the hole fill links the padded crop's
+        # background 4-connected, the opening finds its core's runs, then
+        # one finger split
+        near_cm = raw_to_cm(int(frame.samples.min()), CFG.calibration)
+        hi = (CFG.calibration.cm_table <= near_cm + CFG.slab_cm).nonzero()[0][-1]
+        ys, xs = (frame.samples <= hi).nonzero()
+        window = (ys.max() - ys.min() + 1, xs.max() - xs.min() + 1)
+        assert window[0] * window[1] < frame.samples.size
+        assert calls == [("runs", window), ("link", window[0], 8)] + [
             call
             for _, _, blob in hands
             for call in (("link", blob.shape[0] + 2, 4), ("runs", blob.shape),

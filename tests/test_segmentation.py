@@ -17,6 +17,7 @@ from handdepth.segmentation import (
     _band_table,
     _link,
     _runs,
+    _slab_components,
     _table_mask,
     connected_components,
     fill_holes,
@@ -39,6 +40,7 @@ from reference import (
     label_rowwise,
     label_runs_unionfind,
     long_path_masks,
+    lowest,
     masks,
     paths_agree,
     placed,
@@ -404,8 +406,8 @@ def test_lowest_ranks_only_the_blobs_own_pixels():
     ring, dot = connected_components(mask)
     values = np.where(mask, np.iinfo(np.uint16).max, 0).astype(np.uint16)
     values[7, 2] = values[1, 6] = 65534  # the ring's minimum, twice
-    assert ring.lowest(values) == (6, 1, 65534)  # raster-first of the tie
-    assert dot.lowest(values) == (4, 4, 65535)  # every other pixel of the frame is lower
+    assert lowest(ring, values) == (6, 1, 65534)  # raster-first of the tie
+    assert lowest(dot, values) == (4, 4, 65535)  # every other pixel of the frame is lower
 
 
 @deterministic
@@ -420,7 +422,7 @@ def test_contains_and_lowest_match_flood_fill(mask, top, seed):
         assert all(blob.contains(x, y) == ((x, y) in pixels)
                    for y in range(min_y - 1, max_y + 2) for x in range(min_x - 1, max_x + 2))
         value, y, x = _raster_first_min(pixels, values)
-        assert blob.lowest(values) == (x, y, value)
+        assert lowest(blob, values) == (x, y, value)
 
 
 def test_find_seeds_empty_scene():
@@ -843,3 +845,82 @@ def test_table_mask_falls_back_to_lookup_on_gaps_and_empty_tables():
     gappy[[5, 6, 7, 900, 2047]] = True  # an interval compare would take 8..899 too
     for table in (gappy, ~gappy, np.zeros(RAW_SENTINEL + 1, dtype=bool)):
         assert np.array_equal(_table_mask(table, ALL_CODES), table[ALL_CODES])
+
+
+def assert_window_labels_the_whole_frames_slab(samples, in_slab):
+    """_slab_components gives the whole frame's slab labelling, blob for blob, in frame coordinates."""
+    want = connected_components(_table_mask(in_slab, samples))
+    got = _slab_components(samples, samples.min(axis=1), in_slab, 1)
+    assert [blob_key(b) for b in got] == [blob_key(b) for b in want]
+
+
+def window_case(h, w, seed, hi_over, density):
+    """Far noise over near blocks and dropouts, with a table through the nearest code.
+
+    ``density`` None is the interval [0, hi]; otherwise each code up to
+    hi is in the table with that chance (a table with gaps, labelled by
+    the lookup), with the nearest code and hi always in.
+    """
+    samples = blocky_frame(h, w, 1 + seed % 6, seed).samples.copy()
+    far = np.random.default_rng(seed).random((h, w)) < 0.5
+    samples[far & (samples != RAW_SENTINEL)] += 150
+    near = int(samples.min())
+    hi = min(near + hi_over, RAW_SENTINEL)
+    table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
+    if density is None:
+        table[:hi + 1] = True
+    else:
+        table[:hi + 1] = np.random.default_rng(seed + 1).random(hi + 1) < density
+        table[[near, hi]] = True
+    return samples, table
+
+
+@deterministic
+@given(
+    st.builds(window_case, st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
+              st.integers(0, 400), st.none() | st.floats(0.05, 0.95)),
+)
+def test_slab_window_labels_what_the_whole_frame_does(case):
+    samples, table = case
+    assert_window_labels_the_whole_frames_slab(samples, table)
+    if (samples == RAW_SENTINEL).all():
+        return
+    # find_hand_seeds' own slab: each seed's blob is a whole-frame slab blob,
+    # its codes are the blob's in raster order and the seed their raster-first least
+    frame, slab_cm = DepthFrame(samples), float(np.random.default_rng(samples.size).uniform(0.3, 25))
+    near_cm = raw_to_cm(int(samples.min()))
+    in_slab = DEFAULT_CALIBRATION.cm_table <= near_cm + slab_cm
+    whole = [blob_key(b) for b in connected_components(_table_mask(in_slab, samples))]
+    for seed in find_hand_seeds(frame, 2, 1, slab_cm):
+        blob, table, codes = seed.slab
+        assert table is not None and np.array_equal(table, in_slab)
+        assert blob_key(blob) in whole
+        assert np.array_equal(codes, samples[placed(blob, samples.shape)])
+        assert (seed.x, seed.y, seed.depth_raw) == lowest(blob, samples)
+
+
+def one_slab_pixel_or_edge(shape, where):
+    """Far codes everywhere but the near ``where`` (a slice or one pixel), which touches a border."""
+    samples = np.full(shape, 900, dtype=np.uint16)
+    samples[2, 3] = RAW_SENTINEL
+    samples[where] = 600
+    return samples
+
+
+@pytest.mark.parametrize("where", [
+    np.s_[0, 2:5], np.s_[-1, 1:], np.s_[1:4, 0], np.s_[:, -1],  # each border
+    np.s_[0, 0], np.s_[0, -1], np.s_[-1, 0], np.s_[-1, -1], np.s_[3, 4],  # one pixel
+    np.s_[:, :],
+])
+def test_slab_window_at_each_border_and_on_one_pixel(where):
+    samples = one_slab_pixel_or_edge((6, 7), where)
+    in_slab = DEFAULT_CALIBRATION.cm_table <= raw_to_cm(600) + 5.0
+    assert in_slab[600] and not in_slab[900]
+    assert_window_labels_the_whole_frames_slab(samples, in_slab)
+    gappy = in_slab.copy()
+    gappy[300:500] = False  # the lookup fallback over the same window
+    assert_window_labels_the_whole_frames_slab(samples, gappy)
+    (seed,) = find_hand_seeds(DepthFrame(samples), 2, 1, 5.0)
+    ys, xs = (samples == 600).nonzero()
+    assert seed.slab[0].bbox == (xs.min(), ys.min(), xs.max(), ys.max())
+    assert (seed.y, seed.x) == (ys[0], xs[0])
