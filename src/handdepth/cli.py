@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -85,6 +86,31 @@ def _input_frames(
     return ((p.stem, _read_frame(p, raw_dims)) for p in paths)
 
 
+def _overwrite(path: Path, data: bytes) -> None:
+    """Write ``data`` over the file at ``path`` in place, creating it if need be.
+
+    ``Path.write_bytes`` opens with ``O_TRUNC``. On ext4, truncating a
+    non-empty file to zero makes its close start writing the new blocks
+    back at once (``auto_da_alloc``), a guard against losing data in a
+    crash. Skipping that writeback is all this function gains, so it gains
+    only where the overlay already exists, as when ``detect`` runs again
+    over the same directory; a new file costs the same either way.
+
+    The price: overlays of one frame size have one length, so the old file
+    is never cut. A crash or power loss during the write, or a reader that
+    opens the file meanwhile, can see a full-size, well-formed overlay that
+    mixes new and old pixels, where a truncating write shows a short file.
+    The old tail is cut only when the file was longer, so ``/dev/null`` or
+    a FIFO takes the bytes as a plain write would.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666),
+              "wb") as f:
+        longer = os.fstat(f.fileno()).st_size > len(data)
+        f.write(data)
+        if longer:
+            f.truncate()
+
+
 def _cmd_detect(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     named, to_pipeline = itertools.tee(_input_frames(args.input, args.raw_dims))
@@ -106,7 +132,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
                     pending.result()
                 out.write(write_report(report) + b"\n")
                 if overlay_dir:
-                    pending = writer.submit((overlay_dir / f"{name}.ppm").write_bytes, overlay)
+                    pending = writer.submit(_overwrite, overlay_dir / f"{name}.ppm", overlay)
         finally:
             if pending is not None:
                 pending.result()

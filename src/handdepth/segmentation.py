@@ -354,6 +354,11 @@ def segment_hand(
       its runs are a slice of the slab labelling's shared run array;
     - otherwise, or for a seed without a slab: the band is labelled
       over the whole frame.
+
+    The seed is the slab blob's nearest pixel, usually a fingertip. So a
+    hand whose valid pixels span more than ``band_cm`` leaves its palm
+    outside the band: the component that holds the seed is a finger, and
+    it comes back as the hand.
     """
     in_band = _band_table(seed, band_cm, params)
     if seed.slab is not None and not (in_band & ~seed.slab[1]).any():

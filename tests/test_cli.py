@@ -63,6 +63,82 @@ def test_detect_overlays_are_write_overlay_bytes_and_no_thread_outlives_it(tmp_p
         assert (overlay_dir / f"{path.stem}.ppm").read_bytes() == write_overlay(frame, report.hands)
 
 
+def expected_overlays(frame_dir):
+    paths = sorted(frame_dir.iterdir())
+    frames = [read_pgm(p.read_bytes())[0] for p in paths]
+    return {f"{path.stem}.ppm": write_overlay(frame, report.hands)
+            for path, frame, report in zip(paths, frames, run_pipeline(frames, PipelineConfig()))}
+
+
+def detect_overlays(frame_dir, overlay_dir, report):
+    return main(["detect", "--input", str(frame_dir), "--out-report", str(report),
+                 "--out-overlay-dir", str(overlay_dir)])
+
+
+@pytest.mark.parametrize("kind", ["longer", "shorter", "symlink", "hard link"])
+def test_detect_rewrites_an_existing_overlay(tmp_path, frame_dir, kind):
+    want = expected_overlays(frame_dir)
+    overlay_dir = tmp_path / "overlays"
+    overlay_dir.mkdir()
+    overlay = overlay_dir / "f000.ppm"
+    other = tmp_path / "other.ppm"  # the symlink's target, or the hard link's other name
+    if kind == "longer":
+        overlay.write_bytes(b"\xff" * (len(want["f000.ppm"]) + 4096))
+    elif kind == "shorter":
+        overlay.write_bytes(b"P6\n")
+    elif kind == "symlink":
+        other.write_bytes(b"old" * 100_000)  # longer than the overlay, so its tail is cut
+        overlay.symlink_to(other)
+    else:
+        other.write_bytes(b"old" * 100_000)
+        os.link(other, overlay)
+    assert detect_overlays(frame_dir, overlay_dir, tmp_path / "r.jsonl") == 0
+    assert {p.name: p.read_bytes() for p in overlay_dir.iterdir()} == want
+    assert overlay.is_symlink() == (kind == "symlink")
+    if kind in ("symlink", "hard link"):
+        assert os.path.samefile(other, overlay)
+        assert other.read_bytes() == want["f000.ppm"]
+
+
+def test_detect_keeps_an_old_overlay_mode_and_gives_a_new_one_the_umask(tmp_path, frame_dir):
+    overlay_dir = tmp_path / "overlays"
+    overlay_dir.mkdir()
+    old = overlay_dir / "f000.ppm"
+    old.write_bytes(b"old")
+    old.chmod(0o600)
+    fresh = tmp_path / "fresh"
+    fresh.write_bytes(b"")  # the mode write_bytes gives a new file under this umask
+    assert detect_overlays(frame_dir, overlay_dir, tmp_path / "r.jsonl") == 0
+    assert old.stat().st_mode & 0o777 == 0o600
+    assert (overlay_dir / "f001.ppm").stat().st_mode & 0o777 == fresh.stat().st_mode & 0o777
+
+
+def test_detect_overlay_symlinked_to_dev_null_exits_0(tmp_path, frame_dir):
+    want = expected_overlays(frame_dir)
+    overlay_dir = tmp_path / "overlays"
+    overlay_dir.mkdir()
+    (overlay_dir / "f000.ppm").symlink_to(os.devnull)
+    assert detect_overlays(frame_dir, overlay_dir, tmp_path / "r.jsonl") == 0
+    assert (overlay_dir / "f001.ppm").read_bytes() == want["f001.ppm"]
+
+
+def test_detect_never_opens_an_overlay_with_o_trunc(tmp_path, frame_dir, monkeypatch):
+    overlay_dir = tmp_path / "overlays"
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((Path(path).name, flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    for _ in range(2):  # the second run finds every overlay in place
+        assert detect_overlays(frame_dir, overlay_dir, tmp_path / "r.jsonl") == 0
+    overlays = [(name, flags) for name, flags in opened if name.endswith(".ppm")]
+    assert sorted(name for name, _ in overlays) == ["f000.ppm", "f000.ppm", "f001.ppm", "f001.ppm"]
+    assert not any(flags & os.O_TRUNC for _, flags in overlays)
+
+
 def test_detect_stops_at_a_failed_overlay_write(tmp_path, frame_dir, capsys):
     frame, _ = read_pgm((frame_dir / "f000.pgm").read_bytes())
     samples = bytearray(frame.samples.astype(">u2").tobytes())

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from handdepth import fingertips, morphology, pipeline, segmentation
-from handdepth.benchmark import run_benchmark
+from handdepth.benchmark import PALM_TOLERANCE_FRACTION, run_benchmark
 from handdepth.calibration import CalibrationParams, RAW_SENTINEL, cm_to_raw, raw_to_cm
 from handdepth.errors import ConfigError
 from handdepth.frame_io import DepthFrame, write_overlay, write_report
@@ -361,6 +361,34 @@ def test_a_12_cm_slab_splits_the_near_hand_into_specks(case):
 @pytest.mark.parametrize("case", SPECK_CASES)
 def test_fingers_reaching_past_the_slab_split_the_hand_into_specks(case):
     assert len(extract_hands(two_hand_frame(*case), PipelineConfig(slab_cm=12.0))) == 2
+
+
+@pytest.mark.xfail(strict=True, reason="the slab is measured from the near hand's fingertip, so it "
+                   "holds only the far hand's fingers and one comes back as its palm")
+@pytest.mark.parametrize("case", SPECK_CASES)
+def test_the_far_hand_of_a_speck_case_keeps_its_palm(case):
+    far = [palm for palm, _, _ in extract_hands(two_hand_frame(*case), CFG) if palm.x >= 160]
+    assert [palm.inradius_px >= 10 for palm in far] == [True]
+
+
+def band_cliff_hand(base_depth_cm):
+    """A five-finger hand at HandSpec's default tip slope: it spans 13.9 cm at 80 cm, 15.5 at 85."""
+    spec = HandSpec(palm_center=(160.0, 120.0), palm_radius=30, finger_count=5,
+                    finger_length=36, finger_width=10, base_depth_cm=base_depth_cm)
+    return render_scene([spec], (320, 240), 200)
+
+
+@pytest.mark.parametrize("base_depth_cm", [
+    80,
+    pytest.param(85, marks=pytest.mark.xfail(
+        strict=True, reason="the band is the seed's depth +/- band_cm and the seed is a fingertip, "
+        "so a hand spanning more than band_cm comes back as a finger")),
+])
+def test_the_palm_is_found_on_both_sides_of_the_band_cliff(base_depth_cm):
+    frame, (truth,) = band_cliff_hand(base_depth_cm)
+    ((palm, _, _),) = extract_hands(frame, CFG)
+    cx, cy = truth.palm_center
+    assert math.hypot(palm.x - cx, palm.y - cy) <= PALM_TOLERANCE_FRACTION * truth.palm_radius
 
 
 two_hand_cases = st.tuples(
