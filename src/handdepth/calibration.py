@@ -10,9 +10,10 @@ The model is evaluated in one place: a calibration's cm_table holds the
 depth of all 2048 raw codes (NaN past raw_valid_max), and raw_to_cm reads
 its depth from that table, so a scalar depth and a table entry never
 differ by round-off.  The detection path never converts a frame: a metric
-threshold is a test on the table, compared with the frame in raw space.
+threshold is a test on the table, compared with the frame in raw space;
+the table is checked never to fall, so the passing codes are an interval.
 A tiny h_rad puts the pole far past the 11-bit range: every code up to
-2046 is then in the domain, and the table is close to flat.
+2046 is then in the domain, and the table is flat or nearly so.
 """
 
 from __future__ import annotations
@@ -59,6 +60,10 @@ class CalibrationParams:
             raise DomainError(
                 f"raw_valid_max={self.raw_valid_max} exceeds the tangent-pole bound {bound}"
             )
+        # Thresholds take their passing codes as one interval (segmentation).
+        valid = self.cm_table[:self.raw_valid_max + 1]
+        if (valid[1:] < valid[:-1]).any():
+            raise DomainError("the depth table falls between valid raw codes")
 
     @functools.cached_property
     def cm_table(self) -> np.ndarray:
@@ -90,8 +95,8 @@ DEFAULT_CALIBRATION = CalibrationParams()
 def raw_to_cm(raw: int, params: CalibrationParams = DEFAULT_CALIBRATION) -> float:
     """Convert one raw disparity sample to depth in centimeters.
 
-    The value is ``params.cm_table[raw]``.  Strictly increasing over the
-    valid domain, so raw-space comparisons and metric comparisons agree.
+    The value is ``params.cm_table[raw]``, non-decreasing over the valid
+    domain (checked at construction): raw order never contradicts depth's.
     """
     if raw == RAW_SENTINEL:
         raise DomainError("raw 2047 is the no-measurement sentinel")

@@ -4,8 +4,9 @@ The fingers are the components of the hand minus its palm: a set, kept
 largest first.  Fingers angled toward the camera are closest at the
 tip, so each finger's smallest-depth pixel is its fingertip.  One run
 labelling gives the areas and one keyed minimum all the tips.  Minima
-are taken on raw values: calibration is strictly increasing, so the
-argmin is the same pixel, and integer comparison sidesteps float ties.
+are taken on raw values: calibration is non-decreasing (checked at
+construction), so no code is nearer than the least raw code, and
+integer comparison sidesteps float ties.
 """
 
 from __future__ import annotations

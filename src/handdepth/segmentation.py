@@ -6,52 +6,48 @@ nearest-object heuristic in find_hand_seeds (hands are assumed to be the
 closest things to the camera).
 
 Band and slab thresholds are defined by a test on the calibration's
-cm_table.  Calibration is monotone, so the codes that pass form one
-interval of raw values, and the mask is one uint16 interval compare on
-the samples; a table whose codes are not contiguous falls back to a
-lookup.  Labelling has two steps.  _runs, the package's one run
+cm_table, which never falls across the valid codes (checked when the
+calibration is built), so the codes that pass form one interval [lo, hi]
+and the mask is one uint16 compare on the samples.  Labelling has two steps.  _runs, the package's one run
 finder (slab, band, opening core and finger split), takes a mask's runs
-from its row transitions with no per-pixel index array.
-_link takes runs from anywhere, finds the runs that touch across rows
-by binary search and merges them by hook and compress (Shiloach &
-Vishkin, J. Algorithms 1982): each round, every root joined to another
-hooks onto the least root it touches and pointers jump to the roots,
-until no pair joins two roots.  Round one, from every run as its own
-root, is one call: each run hooks onto the first run above it that it
-touches, so a chain climbs one row per link and h.bit_length()
-unchecked jumps reach its root.  A hook only goes to a smaller run
-index, so a root is its component's first run in raster order, the
-components come out in the raster order of their first pixels, and a
-component's index is its root's rank (no sort).  Stats come from the
-same runs (run-based labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each
-component is its bbox and its own runs moved to the bbox, with no mask or
-frame-sized label image; _pixels numbers a run set's pixels where a stage
-reads them (a seeded slab blob's codes, the fingertips).
+from its row transitions with no per-pixel index array.  _link takes
+runs from anywhere, finds the runs that touch across rows by binary
+search and merges them by hook and compress (Shiloach & Vishkin, J.
+Algorithms 1982): each round, every root joined to another hooks onto
+the least root it touches and pointers jump to the roots, until no pair
+joins two roots.  Round one, from every run as its own root, is one
+call: each run hooks onto the first run above it that it touches, so a
+chain climbs one row per link and h.bit_length() unchecked jumps reach
+its root.  A hook only goes to a smaller run index, so a root is its
+component's first run in raster order, the components come out in the
+raster order of their first pixels, and a component's index is its
+root's rank (no sort).  Stats come from the same runs (run-based
+labelling, He, Chao & Suzuki, IEEE TIP 2008).  Each component is its
+bbox and its own runs moved to the bbox, with no mask or frame-sized
+label image; _pixels numbers a run set's pixels where a stage reads them
+(a seeded slab blob's codes, the fingertips).
 
 The slab is labelled inside its window, not over the whole frame.  Let
-hi be the slab table's last code.  Every slab pixel's code is at most
-hi, so every slab pixel lies in the window spanning the rows whose
-least code is at most hi and, within those rows, the columns whose
-least code is at most hi.  The same row minima give the frame's
-nearest code, so the window costs one more pass over its own rows.
-Cropping keeps raster order, so the window's components, their order
-and their bbox-relative runs are the whole frame's; only the bboxes
-move, by the window's corner.  With a table whose codes are not
-contiguous the window may also hold pixels outside the slab; they are
-background there as everywhere, so the labelling stays exact.  The
-seeded blobs' codes are read once, for the seed and for segment_hand's
-band test.  segment_hand builds the band's table over raw codes and
-ends in one of two ways:
+hi be the slab's last code.  Every slab pixel's code is at most hi, so
+every slab pixel lies in the window spanning the rows whose least code
+is at most hi and, within those rows, the columns whose least code is at
+most hi.  The same row minima give the frame's nearest code, so the
+window costs one more pass over its own rows.  Cropping keeps raster
+order, so the window's components, their order and their bbox-relative
+runs are the whole frame's; only the bboxes move, by the window's
+corner.  The slab's codes are 0 .. its last, and each seed keeps that
+last code and the greatest code of its slab blob S; S's least code is
+the seed's.  segment_hand ends in one of two ways:
 
-- Slab blob returned.  Every raw code of the band is a slab code, so
+- Slab blob returned.  The band's last code is at most the slab's, so
   the band mask lies inside the slab mask, and a band pixel touching
-  the seed's band component is a slab pixel touching the seed's slab
-  blob S, hence in it: the component lies inside S.  If every pixel of
-  S, read from its runs, is a band pixel, then S is connected,
-  in the band and holds the seed, so the component also contains S.
-  The two are equal, and S comes back with nothing labelled.
+  the seed's band component is a slab pixel touching S, hence in it:
+  the component lies inside S.  S's greatest code is at most the
+  band's last, and the band holds the seed's code, so S lies in the
+  band; S is connected and holds the seed, so the component also
+  contains S.  The two are equal, and S comes back unlabelled.
 - Whole frame labelled.  In every other case: some pixel of S lies
-  outside the band, the band reaches past the slab (a hand more than
+  past the band, the band reaches past the slab (a hand more than
   slab_cm - band_cm behind the nearest pixel, or band_cm >= slab_cm),
   or the seed carries no slab.  The band is labelled over the whole
   frame: it may reach past the slab's window.
@@ -84,17 +80,17 @@ from .frame_io import DepthFrame
 class HandSeed:
     """A pixel assumed to lie on a hand, with the raw depth found there.
 
-    A seed from find_hand_seeds also carries ``slab``: the slab blob it
-    lies in, the slab's table over raw codes and the blob's raw codes in
-    the raster order of its pixels, valid for the frame the seed was
-    found in.  A seed made elsewhere (a tracker, a test) has none.
-    ``slab`` takes no part in equality.
+    A seed from find_hand_seeds also carries ``slab``: ``(blob, slab_hi,
+    far)``, the slab blob it lies in, the slab's last raw code and the
+    blob's greatest raw code, valid for the frame the seed was found in.
+    A seed made elsewhere (a tracker, a test) has none.  ``slab`` takes
+    no part in equality.
     """
 
     x: int
     y: int
     depth_raw: int
-    slab: tuple[Blob, np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+    slab: tuple[Blob, int, int] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=False)
@@ -239,27 +235,24 @@ def connected_components(mask: np.ndarray) -> list[Blob]:
     ]
 
 
-def _table_mask(table: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """``table[samples]`` for a boolean table over raw codes and uint16 samples.
+def _code_mask(samples: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Whether each uint16 sample lies in the raw-code interval [lo, hi], 0 <= lo <= hi.
 
-    When the True codes form one interval [lo, hi], this is a single
-    compare: uint16 subtraction wraps codes below lo around to high
+    One compare: uint16 subtraction wraps codes below lo around to high
     values, so ``samples - lo <= hi - lo`` holds exactly inside it, and
-    with lo == 0 (every slab table) it is ``samples <= hi``.
+    with lo == 0 (every slab) it is ``samples <= hi``.
     """
-    codes = table.nonzero()[0]
-    if codes.size and codes[-1] - codes[0] + 1 == codes.size:
-        lo, hi = np.uint16(codes[0]), np.uint16(codes[-1])  # uint16 keeps the wrap
-        return samples <= hi if lo == 0 else samples - lo <= hi - lo
-    return table[samples]
+    span = np.uint16(hi - lo)  # uint16 keeps the wrap
+    return samples <= span if lo == 0 else samples - np.uint16(lo) <= span
 
 
-def _band_table(seed: HandSeed, band_cm: float, params: CalibrationParams) -> np.ndarray:
-    """The raw codes within +/- band_cm of the seed's depth."""
+def _band(seed: HandSeed, band_cm: float, params: CalibrationParams) -> tuple[int, int]:
+    """The interval [lo, hi] of raw codes within +/- band_cm of the seed's depth."""
     if number(band_cm, "band_cm", ValueError) <= 0:
         raise ValueError(f"band_cm must be positive, not {band_cm!r}")
     seed_cm = raw_to_cm(seed.depth_raw, params)  # DomainError unless a valid measurement
-    return np.abs(params.cm_table - seed_cm) <= band_cm  # NaN (invalid) is False
+    codes = (np.abs(params.cm_table - seed_cm) <= band_cm).nonzero()[0]  # NaN (invalid) fails
+    return codes[0].item(), codes[-1].item()  # the seed's code passes
 
 
 def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
@@ -271,22 +264,21 @@ def select_hand_blob(blobs: list[Blob], seed: HandSeed) -> Blob:
 
 
 def _slab_components(
-    samples: np.ndarray, row_min: np.ndarray, in_slab: np.ndarray, min_area: int
+    samples: np.ndarray, row_min: np.ndarray, hi: int, min_area: int
 ) -> list[Blob]:
     """The slab's components of at least ``min_area`` pixels, in raster order, in frame coordinates.
 
-    ``row_min`` is ``samples.min(axis=1)`` and ``in_slab`` a table over raw
-    codes that holds some code of the frame.  Only the window of the
-    codes up to ``in_slab``'s last one is labelled (module docstring).
+    The slab is the codes 0 .. ``hi``, and holds some code of the frame;
+    ``row_min`` is ``samples.min(axis=1)``.  Only the slab's window is
+    labelled (module docstring).
     """
-    hi = int(in_slab.nonzero()[0][-1])
     rows = (row_min <= hi).nonzero()[0]
     y0, y1 = rows[0].item(), rows[-1].item() + 1
     cols = (samples[y0:y1].min(axis=0) <= hi).nonzero()[0]
     x0, x1 = cols[0].item(), cols[-1].item() + 1
     return [
         Blob(b.area, (b.bbox[0] + x0, b.bbox[1] + y0, b.bbox[2] + x0, b.bbox[3] + y0), b.runs)
-        for b in connected_components(_table_mask(in_slab, samples[y0:y1, x0:x1]))
+        for b in connected_components(_code_mask(samples[y0:y1, x0:x1], 0, hi))
         if b.area >= min_area
     ]
 
@@ -305,7 +297,7 @@ def find_hand_seeds(
     and seeds each at its nearest-depth pixel (raster order on ties).
     One pass of row minima gives the nearest depth and the slab's rows;
     the slab is labelled inside its window alone, and each seeded blob's
-    codes are read once, for its seed and for segment_hand's band test.
+    codes are read once, for its seed and its greatest code.
 
     The slab is measured from the frame's nearest pixel, not from each
     hand's: fingers reaching more than ``slab_cm`` in front of their
@@ -322,8 +314,9 @@ def find_hand_seeds(
     if near_raw > params.raw_valid_max:
         raise NotFoundError("frame has no valid depth samples")
     near_cm = raw_to_cm(near_raw, params)
-    in_slab = params.cm_table <= near_cm + slab_cm  # NaN (invalid) is False; holds near_raw
-    blobs = _slab_components(samples, row_min, in_slab, min_area)
+    # The last code that passes; NaN (invalid) fails, and near_raw passes.
+    slab_hi = (params.cm_table <= near_cm + slab_cm).nonzero()[0][-1].item()
+    blobs = _slab_components(samples, row_min, slab_hi, min_area)
     if not blobs:
         raise NotFoundError(f"no foreground component reaches min_area={min_area}")
     blobs.sort(key=lambda b: -b.area)  # stable: ties stay in raster order
@@ -334,7 +327,7 @@ def find_hand_seeds(
         i = codes.argmin()  # ties: the first in raster order
         dy, dx = divmod(flat[i].item(), blob.shape[1])
         seeds.append(HandSeed(blob.bbox[0] + dx, blob.bbox[1] + dy, codes[i].item(),
-                              slab=(blob, in_slab, codes)))
+                              slab=(blob, slab_hi, codes.max().item())))
     return seeds
 
 
@@ -346,12 +339,14 @@ def segment_hand(
 ) -> Blob:
     """The 8-connected component of the seed's depth band that holds the seed.
 
-    The band is the valid pixels within +/- band_cm of the seed's depth.
-    One of two things happens (see the module docstring):
+    The band is the valid pixels within +/- band_cm of the seed's depth,
+    an interval [lo, hi] of raw codes.  One of two things happens (see
+    the module docstring):
 
-    - every raw code of the band is a slab code and every pixel of the
-      seed's slab blob is in the band: that blob is returned itself, so
-      its runs are a slice of the slab labelling's shared run array;
+    - ``hi <= slab_hi and far <= hi`` for the seed's ``slab``: every
+      code of the band is a slab code and every pixel of the seed's slab
+      blob is in the band, so that blob is returned itself, and its runs
+      are a slice of the slab labelling's shared run array;
     - otherwise, or for a seed without a slab: the band is labelled
       over the whole frame.
 
@@ -360,12 +355,12 @@ def segment_hand(
     outside the band: the component that holds the seed is a finger, and
     it comes back as the hand.
     """
-    in_band = _band_table(seed, band_cm, params)
-    if seed.slab is not None and not (in_band & ~seed.slab[1]).any():
-        slab, _, codes = seed.slab
-        if in_band[codes].all():
+    lo, hi = _band(seed, band_cm, params)
+    if seed.slab is not None:
+        slab, slab_hi, far = seed.slab
+        if hi <= slab_hi and far <= hi:
             return slab  # all band: the slab blob is the band component (module docstring)
-    return select_hand_blob(connected_components(_table_mask(in_band, frame.samples)), seed)
+    return select_hand_blob(connected_components(_code_mask(frame.samples, lo, hi)), seed)
 
 
 def fill_holes(runs: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from handdepth.calibration import (
     CalibrationParams,
@@ -16,7 +17,7 @@ from handdepth.calibration import (
 )
 from handdepth.errors import DomainError
 
-from reference import valid_domain_stepping
+from reference import deterministic, valid_domain_stepping
 
 
 def reference_depth(raw: int, p: CalibrationParams = DEFAULT_CALIBRATION) -> float:
@@ -148,6 +149,44 @@ def test_second_pole_below_the_domain_rejected():
             CalibrationParams(l_rad=l_rad)
     params = CalibrationParams(l_rad=-math.pi / 2 + 1e-3)
     assert (np.diff(params.cm_table[:params.raw_valid_max + 1]) > 0).all()
+
+
+@deterministic
+@given(
+    st.floats(-1.5707, 1.5707),
+    st.floats(-8, 70),
+    st.sampled_from([None, 1e-300, 5e-324]),
+    st.floats(1e-3, 1e4),
+    st.floats(-1e3, 1e3),
+)
+def test_every_calibration_at_its_pole_bound_has_a_depth_table_that_never_falls(
+    l_rad, scale, tiny_h, k_cm, o_cm
+):
+    # The angle step runs from below one ulp of l_rad (scale < 0: many codes
+    # share one angle) to far past it (the pole before code 1), or is tiny.
+    h_rad = tiny_h or max(math.ulp(l_rad) * 2.0 ** scale, 5e-324)
+    bound = valid_domain(SimpleNamespace(h_rad=h_rad, l_rad=l_rad))
+    params = CalibrationParams(h_rad=h_rad, k_cm=k_cm, l_rad=l_rad, o_cm=o_cm, raw_valid_max=bound)
+    table = params.cm_table[:bound + 1]
+    assert not (table[1:] < table[:-1]).any()
+
+
+def test_a_falling_depth_table_is_refused(monkeypatch):
+    tan = np.tan
+
+    def swapped(angle):  # codes 7 and 8 trade depths: one fall
+        out = tan(angle)
+        out[[7, 8]] = out[[8, 7]]
+        return out
+
+    monkeypatch.setattr(np, "tan", swapped)
+    with pytest.raises(DomainError, match="falls"):
+        CalibrationParams(k_cm=12.5)
+    monkeypatch.setattr(np, "tan", lambda angle: -tan(angle))
+    with pytest.raises(DomainError, match="falls"):
+        CalibrationParams(k_cm=12.5)
+    monkeypatch.setattr(np, "tan", np.zeros_like)  # flat: it never falls
+    assert (CalibrationParams(k_cm=12.5).cm_table[:1101] == -3.7).all()
 
 
 def test_params_validation():

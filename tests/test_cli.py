@@ -5,6 +5,7 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import handdepth
@@ -272,6 +273,17 @@ def test_detect_and_bench_reject_malformed_numbers(tmp_path, frame_dir, capsys, 
     assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
     assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_detect_and_bench_reject_a_falling_calibration(tmp_path, frame_dir, capsys, monkeypatch):
+    tan = np.tan
+    monkeypatch.setattr(np, "tan", lambda angle: -tan(angle))  # every depth table falls
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calibration": {"k": 12.5}}))
+    assert main(["detect", "--input", str(frame_dir), "--config", str(cfg)]) == 2
+    assert main(["bench", "--generate", "1", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "falls" in err and "Traceback" not in err
 
 
 def test_detect_accepts_config(tmp_path, frame_dir):

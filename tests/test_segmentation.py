@@ -14,11 +14,11 @@ from handdepth.calibration import (
 )
 from handdepth.segmentation import (
     HandSeed,
-    _band_table,
+    _band,
+    _code_mask,
     _link,
     _runs,
     _slab_components,
-    _table_mask,
     connected_components,
     fill_holes,
     find_hand_seeds,
@@ -312,7 +312,7 @@ def uniform_frame(raw: int, shape=(6, 8)) -> DepthFrame:
 
 def band_mask(frame, seed, band_cm, params=DEFAULT_CALIBRATION):
     """The seed's band over the whole frame, as segment_hand thresholds it."""
-    return _table_mask(_band_table(seed, band_cm, params), frame.samples)
+    return _code_mask(frame.samples, *_band(seed, band_cm, params))
 
 
 def test_threshold_uniform_frame_all_foreground():
@@ -587,6 +587,43 @@ def test_segment_hand_band_at_least_the_slab_uses_the_whole_frame():
     assert by_side(found) == {"near": "frame", "far": "frame"}
 
 
+def assert_path_at_band(frame, seed, last, want):
+    """segment_hand takes path ``want`` for the band around the seed that ends on code ``last``."""
+    band_cm = float(DEFAULT_CALIBRATION.cm_table[last] - raw_to_cm(seed.depth_raw))
+    assert _band(seed, band_cm, DEFAULT_CALIBRATION)[1] == last
+    path, blob = segment_hand_path(frame, seed, band_cm, DEFAULT_CALIBRATION)
+    assert path == want
+    assert blob_key(blob) == blob_key(hand_blob_whole_frame(frame, seed, band_cm, DEFAULT_CALIBRATION))
+    return blob
+
+
+def test_segment_hand_slab_decision_at_the_slabs_last_code():
+    # A band ending on the slab's last code holds only slab codes; one code
+    # more holds a code the slab lacks.
+    frame = two_hand_frame(83)
+    for seed in find_hand_seeds(frame, 2, 50):
+        _, slab_hi, _ = seed.slab
+        assert_path_at_band(frame, seed, slab_hi, "slab")
+        assert_path_at_band(frame, seed, slab_hi + 1, "frame")
+
+
+@pytest.mark.parametrize("step", [5, 6])
+def test_segment_hand_slab_decision_at_the_slab_blobs_greatest_code(step):
+    # A square at code 600 with one inner pixel at 600 + step, deep inside
+    # a 20 cm slab, and a band ending on code 605: the blob's greatest code
+    # is the band's last (slab blob returned) or one more (frame labelled,
+    # and the band blob lacks that pixel).
+    samples = np.full((12, 14), RAW_SENTINEL, dtype=np.uint16)
+    samples[2:10, 3:11] = 600
+    samples[6, 7] = 600 + step
+    frame = DepthFrame(samples)
+    (seed,) = find_hand_seeds(frame, 1, 1, slab_cm=20.0)
+    _, slab_hi, far = seed.slab
+    assert seed.depth_raw == 600 and far == 600 + step and slab_hi > 700
+    blob = assert_path_at_band(frame, seed, 605, "slab" if step == 5 else "frame")
+    assert blob.area == 64 - (step - 5) and blob.contains(7, 6) == (step == 5)
+
+
 def test_segment_hand_without_a_slab_uses_the_whole_frame():
     frame = two_hand_frame(83)
     for seed in find_hand_seeds(frame, 2, 50):
@@ -823,79 +860,59 @@ def test_thresholds_match_float_image_on_every_raw_value():
 ALL_CODES = np.arange(RAW_SENTINEL + 1, dtype=np.uint16).reshape(32, 64)
 
 
-def test_table_mask_interval_matches_lookup_on_every_code():
-    tables = []
-    for lo, hi in ((0, 0), (0, 700), (0, 2046), (0, 2047), (1, 1), (3, 2046), (517, 900),
-                   (1500, 2047), (2047, 2047)):
-        table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
-        table[lo:hi + 1] = True
-        tables.append(table)
-    # find_hand_seeds' slab tables rise from code 0: the lo == 0 compare
+def test_code_mask_matches_lookup_on_every_code():
+    intervals = [(0, 0), (0, 700), (0, 2046), (0, 2047), (1, 1), (3, 2046), (517, 900),
+                 (1500, 2047), (2047, 2047)]
+    # find_hand_seeds' slab tables are the codes 0 .. hi: the lo == 0 compare
     for near in (0, 600, DEFAULT_CALIBRATION.raw_valid_max):
         slab = DEFAULT_CALIBRATION.cm_table <= raw_to_cm(near) + 20.0
-        assert slab[:near + 1].all() and not slab[-1]
-        tables.append(slab)
-    for table in tables:
-        got = _table_mask(table, ALL_CODES)
+        hi = int(slab.nonzero()[0][-1])
+        assert near <= hi < RAW_SENTINEL and slab[:hi + 1].all() and not slab[hi + 1:].any()
+        intervals.append((0, hi))
+    for lo, hi in intervals:
+        table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
+        table[lo:hi + 1] = True
+        got = _code_mask(ALL_CODES, lo, hi)
         assert got.dtype == bool and np.array_equal(got, table[ALL_CODES])
 
 
-def test_table_mask_falls_back_to_lookup_on_gaps_and_empty_tables():
-    gappy = np.zeros(RAW_SENTINEL + 1, dtype=bool)
-    gappy[[5, 6, 7, 900, 2047]] = True  # an interval compare would take 8..899 too
-    for table in (gappy, ~gappy, np.zeros(RAW_SENTINEL + 1, dtype=bool)):
-        assert np.array_equal(_table_mask(table, ALL_CODES), table[ALL_CODES])
-
-
-def assert_window_labels_the_whole_frames_slab(samples, in_slab):
+def assert_window_labels_the_whole_frames_slab(samples, hi):
     """_slab_components gives the whole frame's slab labelling, blob for blob, in frame coordinates."""
-    want = connected_components(_table_mask(in_slab, samples))
-    got = _slab_components(samples, samples.min(axis=1), in_slab, 1)
+    want = connected_components(samples <= hi)
+    got = _slab_components(samples, samples.min(axis=1), hi, 1)
     assert [blob_key(b) for b in got] == [blob_key(b) for b in want]
 
 
-def window_case(h, w, seed, hi_over, density):
-    """Far noise over near blocks and dropouts, with a table through the nearest code.
-
-    ``density`` None is the interval [0, hi]; otherwise each code up to
-    hi is in the table with that chance (a table with gaps, labelled by
-    the lookup), with the nearest code and hi always in.
-    """
+def window_case(h, w, seed, hi_over):
+    """Far noise over near blocks and dropouts, with a slab's last code ``hi_over`` past the nearest."""
     samples = blocky_frame(h, w, 1 + seed % 6, seed).samples.copy()
     far = np.random.default_rng(seed).random((h, w)) < 0.5
     samples[far & (samples != RAW_SENTINEL)] += 150
-    near = int(samples.min())
-    hi = min(near + hi_over, RAW_SENTINEL)
-    table = np.zeros(RAW_SENTINEL + 1, dtype=bool)
-    if density is None:
-        table[:hi + 1] = True
-    else:
-        table[:hi + 1] = np.random.default_rng(seed + 1).random(hi + 1) < density
-        table[[near, hi]] = True
-    return samples, table
+    return samples, min(int(samples.min()) + hi_over, RAW_SENTINEL)
 
 
 @deterministic
 @given(
     st.builds(window_case, st.integers(1, 40), st.integers(1, 40), st.integers(0, 2**32 - 1),
-              st.integers(0, 400), st.none() | st.floats(0.05, 0.95)),
+              st.integers(0, 400)),
 )
 def test_slab_window_labels_what_the_whole_frame_does(case):
-    samples, table = case
-    assert_window_labels_the_whole_frames_slab(samples, table)
+    samples, hi = case
+    assert_window_labels_the_whole_frames_slab(samples, hi)
     if (samples == RAW_SENTINEL).all():
         return
     # find_hand_seeds' own slab: each seed's blob is a whole-frame slab blob,
-    # its codes are the blob's in raster order and the seed their raster-first least
+    # its slab_hi the slab table's last code, its far the blob's greatest
+    # sample and the seed the blob's raster-first least
     frame, slab_cm = DepthFrame(samples), float(np.random.default_rng(samples.size).uniform(0.3, 25))
     near_cm = raw_to_cm(int(samples.min()))
     in_slab = DEFAULT_CALIBRATION.cm_table <= near_cm + slab_cm
-    whole = [blob_key(b) for b in connected_components(_table_mask(in_slab, samples))]
+    whole = [blob_key(b) for b in connected_components(in_slab[samples])]
     for seed in find_hand_seeds(frame, 2, 1, slab_cm):
-        blob, table, codes = seed.slab
-        assert table is not None and np.array_equal(table, in_slab)
+        blob, slab_hi, far = seed.slab
+        assert type(slab_hi) is int and slab_hi == in_slab.nonzero()[0][-1]
         assert blob_key(blob) in whole
-        assert np.array_equal(codes, samples[placed(blob, samples.shape)])
+        assert type(far) is int and far == samples[placed(blob, samples.shape)].max()
         assert (seed.x, seed.y, seed.depth_raw) == lowest(blob, samples)
 
 
@@ -914,12 +931,9 @@ def one_slab_pixel_or_edge(shape, where):
 ])
 def test_slab_window_at_each_border_and_on_one_pixel(where):
     samples = one_slab_pixel_or_edge((6, 7), where)
-    in_slab = DEFAULT_CALIBRATION.cm_table <= raw_to_cm(600) + 5.0
-    assert in_slab[600] and not in_slab[900]
-    assert_window_labels_the_whole_frames_slab(samples, in_slab)
-    gappy = in_slab.copy()
-    gappy[300:500] = False  # the lookup fallback over the same window
-    assert_window_labels_the_whole_frames_slab(samples, gappy)
+    hi = int((DEFAULT_CALIBRATION.cm_table <= raw_to_cm(600) + 5.0).nonzero()[0][-1])
+    assert 600 <= hi < 900
+    assert_window_labels_the_whole_frames_slab(samples, hi)
     (seed,) = find_hand_seeds(DepthFrame(samples), 2, 1, 5.0)
     ys, xs = (samples == 600).nonzero()
     assert seed.slab[0].bbox == (xs.min(), ys.min(), xs.max(), ys.max())
